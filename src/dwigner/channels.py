@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matrix_core import (
+    TOL_ALGEBRAIC,
     DimMismatchError,
     adjoint,
     as_complex_matrix,
-    hermitian_eig,
     max_abs,
     validate_unitary,
 )
@@ -182,16 +182,24 @@ def fourier_conjugate_channel(channel: KrausChannel, f) -> KrausChannel:
     return KrausChannel([mat @ v @ adjoint(mat) for v in channel.kraus])
 
 
-def point_sqrt_factor(q: int, p: int, n: int) -> np.ndarray:
-    """S with S @ S = A(q, p), from principal square roots of the eigenvalues.
+def _sqrt_factors(doubled: np.ndarray) -> np.ndarray:
+    """Principal square roots of A = B/(2N) from B = 2N A, batched over leading axes.
 
-    A(q, p) can have negative eigenvalues, in which case S picks up
-    imaginary eigenvalues and is no longer Hermitian; S @ S = A holds
-    regardless.
+    B is Hermitian with spectrum {-1, +1}, so P+- = (I +- B)/2 are its
+    spectral projectors and S = (P+ + i P-)/sqrt(2N) squares to A.
     """
-    decomp = hermitian_eig(point_operator(q, p, n))
-    roots = np.sqrt(decomp.eigenvalues.astype(complex))
-    return (decomp.eigenvectors * roots) @ adjoint(decomp.eigenvectors)
+    n = doubled.shape[-1]
+    return ((1 + 1j) * np.eye(n) + (1 - 1j) * doubled) / (2 * np.sqrt(2 * n))
+
+
+def point_sqrt_factor(q: int, p: int, n: int) -> np.ndarray:
+    """S with S @ S = A(q, p), the principal square root.
+
+    2N A(q, p) has eigenvalues +-1, so S = (P+ + i P-)/sqrt(2N) in closed
+    form.  Where A(q, p) has negative eigenvalues S is no longer Hermitian;
+    S @ S = A holds regardless.
+    """
+    return _sqrt_factors(2 * n * point_operator(q, p, n))
 
 
 def fano_sqrt_decomposition(
@@ -216,25 +224,29 @@ def adjoint_form_report(channel: KrausChannel, rho, psd_tol: float = 1e-12) -> l
     whether A is PSD at ``psd_tol``, and the absolute residuals of the
     cyclic form sum tr(S V rho V* S) and the adjoint form sum tr(M rho M*)
     against the channel-output Wigner value.
+
+    The spectrum of 2N A(q, p) is {-1, +1}, so the minimum eigenvalue is
+    -1/(2N) unless 2N A(q, p) = I.  Both forms are traces against the
+    channel output Lambda(rho), tr(S^2 Lambda(rho)) and tr(S* S Lambda(rho)),
+    evaluated for all points at once.
     """
-    m = as_complex_matrix(rho)
-    out_table = channel_wigner(channel, m)
-    rows = []
-    for q, p in full_points(channel.n):
-        decomp = hermitian_eig(point_operator(q, p, channel.n))
-        min_eig = float(decomp.eigenvalues[0])
-        ms, s = fano_sqrt_decomposition(channel, q, p)
-        cyclic = sum(np.trace(s @ v @ m @ adjoint(v) @ s) for v in channel.kraus)
-        adj = sum(np.trace(mi @ m @ adjoint(mi)) for mi in ms)
-        w = out_table[q, p]
-        rows.append(
-            {
-                "q": q,
-                "p": p,
-                "min_eigenvalue": min_eig,
-                "psd": bool(min_eig >= -psd_tol),
-                "cyclic_residual": float(abs(cyclic - w)),
-                "adjoint_residual": float(abs(adj - w)),
-            }
-        )
-    return rows
+    n = channel.n
+    out_rho = apply_channel(channel, rho)
+    doubled = 2 * n * _point_stack_full(n)
+    factors = _sqrt_factors(doubled)
+    cyclic = np.einsum("aij,ji->a", factors @ factors, out_rho)
+    adj = np.einsum("aij,ji->a", np.conj(factors).transpose(0, 2, 1) @ factors, out_rho)
+    is_identity = np.abs(doubled - np.eye(n)).max(axis=(1, 2)) <= TOL_ALGEBRAIC
+    min_eigs = np.where(is_identity, 1.0, -1.0) / (2 * n)
+    w = wigner_table(out_rho).reshape(-1)
+    return [
+        {
+            "q": q,
+            "p": p,
+            "min_eigenvalue": float(min_eigs[a]),
+            "psd": bool(min_eigs[a] >= -psd_tol),
+            "cyclic_residual": float(abs(cyclic[a] - w[a])),
+            "adjoint_residual": float(abs(adj[a] - w[a])),
+        }
+        for a, (q, p) in enumerate(full_points(n))
+    ]

@@ -10,14 +10,15 @@ States are given as ``ket:<q0>``, ``sup:<q0>,<q1>,<phi-radians>``, or
 0 success, 1 invariant failure, 2 input error, 3 consistency error.
 
 The environment variable ``DWIGNER_TOL`` scales every input-validation
-tolerance by a positive factor (default 1); computational tolerances used
-by the verification checks are not affected.
+tolerance by a finite positive factor (default 1); computational
+tolerances used by the verification checks are not affected.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -71,8 +72,8 @@ def _tol_factor() -> float:
         factor = float(raw)
     except ValueError as exc:
         raise InputError(f"DWIGNER_TOL must be a number, got {raw!r}") from exc
-    if not factor > 0:
-        raise InputError(f"DWIGNER_TOL must be positive, got {factor}")
+    if not (math.isfinite(factor) and factor > 0):
+        raise InputError(f"DWIGNER_TOL must be finite and positive, got {factor}")
     return factor
 
 
@@ -103,6 +104,8 @@ def _parse_state(spec: str, n: int, tol_factor: float) -> np.ndarray:
             phi = float(parts[2])
         except ValueError as exc:
             raise InputError(f"malformed sup spec {spec!r}") from exc
+        if not math.isfinite(phi):
+            raise InputError(f"sup phase must be finite, got {parts[2]!r}")
         if not (0 <= q0 < n and 0 <= q1 < n):
             raise InputError(f"sup indices ({q0}, {q1}) out of range for N={n}")
         if q0 == q1:

@@ -31,9 +31,15 @@ def table_to_csv_text(table) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _require_finite(w: np.ndarray) -> None:
+    if not np.isfinite(w).all():
+        raise ValueError("table entries must be finite")
+
+
 def table_from_csv_text(text: str) -> np.ndarray:
     w = np.atleast_2d(np.loadtxt(_stdio.StringIO(text), delimiter=","))
     table_dimension(w)
+    _require_finite(w)
     return w
 
 
@@ -50,6 +56,7 @@ def table_from_json_obj(obj) -> np.ndarray:
         raise ValueError(f"declared n={obj['n']} does not match a {w.shape} table")
     if obj.get("grid", "2N") != "2N":
         raise ValueError(f"unsupported grid {obj.get('grid')!r}")
+    _require_finite(w)
     return w
 
 

@@ -14,12 +14,19 @@ checked here:
 * rho is recovered as 4N * sum over the core (or N * sum over the full
   lattice) of W(alpha) A(alpha).
 
-The trace against the point operator is the ground-truth evaluation; the
-faster matrix-element sum
+Every A(q, p) is a monomial matrix: column m holds one nonzero entry, in
+row (q - m) mod N.  The trace therefore collapses to the matrix-element sum
 
-    W[q, p] = (1/2N) sum_m rho[(q - m) mod N, m] exp(i*pi*p*(2m - q)/N)
+    W[q, p] = (1/2N) exp(-i*pi*p*q/N) sum_m rho[(q - m) mod N, m] exp(2*pi*i*p*m/N),
 
-is an exactly equivalent path kept for cross-validation (``method="lemma"``).
+which for each row q is a length-N inverse DFT of a wrapped diagonal of
+rho, periodic in p with period N.  This is the production evaluation
+(``method="lemma"``): a table costs O(N^2 log N) time and O(N^2) memory.
+``reconstruct`` inverts it exactly on the N x N core, one forward DFT per
+row, and ``purity_residual`` compares a table with the table of the
+square of that inverse.  The trace against the dense point-operator stack
+(``method="trace"``, ``formula="full"``) and the three-point kernel Gamma
+are kept only as independent oracles for the tests and ``verify``.
 """
 
 from __future__ import annotations
@@ -28,14 +35,14 @@ import numpy as np
 
 from .matrix_core import as_complex_matrix, max_abs
 from .phase_space import (
-    _point_stack_core,
     _point_stack_full,
     fourier_matrix,
-    gamma_tensor,
     point_operator,
 )
 
-PURITY_PREFACTOR_SCALE = 16  # prefactor 16*N^2; fixed by the brute-force oracle in the tests
+# Prefactor 16*N^2 of the Gamma-kernel form of the purity constraint; only
+# the brute-force oracle in the tests evaluates that form.
+PURITY_PREFACTOR_SCALE = 16
 
 
 class OddDimensionError(ValueError):
@@ -71,12 +78,13 @@ def table_dimension(table) -> int:
     return w.shape[0] // 2
 
 
-def wigner_table(rho, method: str = "trace", imag_tol: float = 1e-10) -> np.ndarray:
+def wigner_table(rho, method: str = "lemma", imag_tol: float = 1e-10) -> np.ndarray:
     """Wigner table of a density operator (or any Hermitian matrix).
 
-    ``method`` selects the evaluation path: ``"trace"`` contracts rho with
-    the stack of point operators, ``"lemma"`` uses the closed matrix-element
-    sum.  Both agree to roundoff; the trace path is the reference.
+    ``method`` selects the evaluation path: ``"lemma"`` evaluates the
+    matrix-element sum by one FFT per row, ``"trace"`` contracts rho with
+    the dense stack of point operators.  Both agree to roundoff; the trace
+    path is the reference oracle and needs O(N^4) memory.
 
     Raises OddDimensionError for odd N and NonHermitianResultError if the
     imaginary residue of the evaluation exceeds ``imag_tol`` (which signals
@@ -101,16 +109,37 @@ def wigner_table(rho, method: str = "trace", imag_tol: float = 1e-10) -> np.ndar
     return values.real.copy()
 
 
+def _lattice_phases(n: int, size: int, sign: int) -> np.ndarray:
+    """exp(sign * i*pi*(q*p mod 2N)/N) for 0 <= q, p < size.
+
+    The roots for exponents N .. 2N-1 are the exact negatives of those
+    below N, so tables obey the core-extension sign rule bit for bit.
+    """
+    k = np.arange(size)
+    half = np.exp(sign * 1j * np.pi * np.arange(n) / n)
+    return np.concatenate([half, -half])[np.outer(k, k) % (2 * n)]
+
+
 def _table_lemma(rho: np.ndarray) -> np.ndarray:
     n = rho.shape[0]
-    w = np.zeros((2 * n, 2 * n), dtype=complex)
-    for q in range(2 * n):
-        elements = np.array([rho[(q - m) % n, m] for m in range(n)])
-        for p in range(2 * n):
-            # phase exponents i*pi*p*(2m - q)/N with integer 2m - q
-            phases = np.exp(1j * np.pi * p * (2 * np.arange(n) - q) / n)
-            w[q, p] = np.dot(elements, phases) / (2 * n)
-    return w
+    m = np.arange(n)
+    # wrapped[q, m] = rho[(q - m) mod N, m]; rows q and q + N coincide
+    wrapped = rho[(m[:, None] - m) % n, m]
+    rows = n * np.fft.ifft(wrapped, axis=1)
+    return np.tile(rows, (2, 2)) * _lattice_phases(n, 2 * n, -1) / (2 * n)
+
+
+def _core_inverse(core: np.ndarray) -> np.ndarray:
+    """The operator whose table has the given N x N core: 4N sum_core W A.
+
+    Undoes ``_table_lemma`` row by row; no symmetry check.
+    """
+    n = core.shape[0]
+    m = np.arange(n)
+    spectra = 2 * n * core * _lattice_phases(n, n, 1)
+    rho = np.empty((n, n), dtype=complex)
+    rho[(m[:, None] - m) % n, m] = np.fft.fft(spectra, axis=1) / n
+    return rho
 
 
 def basis_state(q0: int, n: int) -> np.ndarray:
@@ -133,7 +162,7 @@ def density_from_state(psi) -> np.ndarray:
     """Rank-1 density operator |psi><psi| of a normalized state vector."""
     v = np.asarray(psi, dtype=complex)
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > 1e-12:
+    if not abs(norm - 1.0) <= 1e-12:
         raise NotNormalizedError(f"state vector has norm {norm:.15g}")
     return np.outer(v, np.conj(v))
 
@@ -232,21 +261,22 @@ def reconstruct(table, formula: str = "core", symmetry_tol: float = 1e-8) -> np.
     """Density operator from its Wigner table.
 
     ``formula="core"`` evaluates 4N * sum over the N x N core of
-    W(alpha) A(alpha); ``formula="full"`` evaluates N * sum over the whole
-    lattice.  The two agree whenever the table satisfies the symmetry
+    W(alpha) A(alpha) as the exact inverse of the row-wise FFT, in
+    O(N^2 log N); ``formula="full"`` evaluates N * sum over the whole
+    lattice against the dense point-operator stack and is the reference
+    oracle.  The two agree whenever the table satisfies the symmetry
     relation, which is checked first (InconsistentTableError beyond
-    ``symmetry_tol``).
+    ``symmetry_tol``, or for a non-finite residual).
     """
     w = np.asarray(table, dtype=float)
     n = table_dimension(w)
     residual = symmetry_residual(w)
-    if residual > symmetry_tol:
+    if not residual <= symmetry_tol:
         raise InconsistentTableError(
             f"table violates the symmetry relation (residual {residual:.3e})"
         )
     if formula == "core":
-        core = w[:n, :n]
-        return 4 * n * np.einsum("a,aij->ij", core.reshape(-1), _point_stack_core(n))
+        return _core_inverse(w[:n, :n])
     if formula == "full":
         return n * np.einsum("a,aij->ij", w.reshape(-1), _point_stack_full(n))
     raise ValueError(f"formula must be 'core' or 'full', got {formula!r}")
@@ -304,12 +334,14 @@ def purity_residual(table) -> float:
         | W(alpha) - 16 N^2 * sum_{beta,gamma in core} Gamma(alpha,beta,gamma)
                                                        W(beta) W(gamma) |
 
-    with Gamma the three-point trace kernel.  Vanishes (to roundoff) exactly
-    for tables of pure states; strictly positive for properly mixed ones.
+    with Gamma the three-point trace kernel.  With rho_c = 4N sum_core W A
+    the operator recovered from the core, the double sum equals
+    tr(A(alpha) rho_c^2), so the quadratic side is the table of rho_c^2 and
+    costs O(N^3) instead of a 4N^6 kernel.  No symmetry check is applied.
+    Vanishes (to roundoff) exactly for tables of pure states; strictly
+    positive for properly mixed ones.
     """
     w = np.asarray(table, dtype=float)
     n = table_dimension(w)
-    core = w[:n, :n].reshape(-1)
-    quad = np.einsum("abc,b,c->a", gamma_tensor(n), core, core)
-    prefactor = PURITY_PREFACTOR_SCALE * n * n
-    return max_abs(w.reshape(-1) - prefactor * quad)
+    rho = _core_inverse(w[:n, :n])
+    return max_abs(w - _table_lemma(rho @ rho))

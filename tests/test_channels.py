@@ -33,6 +33,13 @@ from dwigner.sampling import random_density, random_kraus_channel, random_unitar
 from dwigner.wigner import basis_state, density_from_state, wigner_table
 
 
+def eigh_sqrt_factor(q, p, n):
+    """Principal square root of A(q, p) through its eigendecomposition."""
+    decomp = hermitian_eig(point_operator(q, p, n))
+    roots = np.sqrt(decomp.eigenvalues.astype(complex))
+    return (decomp.eigenvectors * roots) @ adjoint(decomp.eigenvectors)
+
+
 def stochastic_2x2(p11, p12):
     return np.array([[p11, p12], [1 - p11, 1 - p12]])
 
@@ -269,6 +276,11 @@ class TestSqrtDecomposition:
     def test_origin_factor_n2(self):
         assert max_abs(point_sqrt_factor(0, 0, 2) - np.eye(2) / 2) <= 1e-12
 
+    @pytest.mark.parametrize("n", (2, 4, 6, 8))
+    def test_closed_form_matches_eigendecomposition(self, n):
+        for q, p in full_points(n):
+            assert max_abs(point_sqrt_factor(q, p, n) - eigh_sqrt_factor(q, p, n)) <= 1e-10
+
     def test_identity_channel_reduction(self):
         rng = np.random.default_rng(53)
         rho = random_density(2, rng)
@@ -322,3 +334,29 @@ class TestSqrtDecomposition:
         assert non_psd, "the 2x2 lattice has points with a negative eigenvalue"
         # adjoint form evaluates tr(|A| Lambda(rho)); record, do not assert zero
         assert all(np.isfinite(row["adjoint_residual"]) for row in non_psd)
+
+    @pytest.mark.parametrize("n", (2, 4))
+    def test_report_matches_per_point_oracle(self, n):
+        rng = np.random.default_rng(71 + n)
+        ch = random_kraus_channel(n, 3, rng)
+        rho = random_density(n, rng)
+        w_out = channel_wigner(ch, rho)
+        report = adjoint_form_report(ch, rho)
+        for row, (q, p) in zip(report, full_points(n)):
+            assert (row["q"], row["p"]) == (q, p)
+            min_eig = hermitian_eig(point_operator(q, p, n)).eigenvalues[0]
+            assert row["min_eigenvalue"] == pytest.approx(min_eig, abs=1e-12)
+            assert row["psd"] == (min_eig >= -1e-12)
+            s = eigh_sqrt_factor(q, p, n)
+            cyclic = sum(trace_product([s, v, rho, adjoint(v), s]) for v in ch.kraus)
+            adj = sum(trace_product([s, v, rho, adjoint(s @ v)]) for v in ch.kraus)
+            assert row["cyclic_residual"] == pytest.approx(abs(cyclic - w_out[q, p]), abs=1e-12)
+            assert row["adjoint_residual"] == pytest.approx(abs(adj - w_out[q, p]), abs=1e-12)
+
+    @pytest.mark.parametrize("n", (4, 6, 8))
+    def test_psd_branch_empty_beyond_n2(self, n):
+        # 2N A(q, p) = I only at N = 2, so every point has eigenvalue -1/(2N)
+        rng = np.random.default_rng(89 + n)
+        report = adjoint_form_report(random_kraus_channel(n, 2, rng), random_density(n, rng))
+        assert [row for row in report if row["psd"]] == []
+        assert all(row["min_eigenvalue"] == -1 / (2 * n) for row in report)

@@ -8,6 +8,7 @@ from dwigner.cli import main
 from dwigner.io import (
     dump_json,
     kraus_to_json_obj,
+    matrix_from_json_obj,
     matrix_to_json_obj,
     table_from_csv_text,
     table_from_json_obj,
@@ -114,6 +115,13 @@ class TestWignerCommand:
         code, _, err = run(["wigner", "--n", "2", "--state", f"file:{bad}"], capsys)
         assert code == 2
         assert "trace" in err
+
+    @pytest.mark.parametrize("phi", ["nan", "inf"])
+    def test_non_finite_phase_rejected(self, capsys, phi):
+        code, stdout, err = run(["wigner", "--n", "4", "--state", f"sup:0,1,{phi}"], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_odd_n_rejected(self, capsys):
         code, _, err = run(["wigner", "--n", "3", "--state", "ket:0"], capsys)
@@ -283,6 +291,33 @@ class TestReconstructCommand:
         code, _, _ = run(["reconstruct", "--input", "/nonexistent.csv"], capsys)
         assert code == 2
 
+    def test_non_finite_table_exits_2(self, tmp_path, capsys):
+        table = TABLE_N2_KET0.copy()
+        table[1, 2] = np.nan
+        table_path = tmp_path / "nan.csv"
+        table_path.write_text(table_to_csv_text(table))
+        code, stdout, err = run(["reconstruct", "--input", str(table_path)], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "finite" in err
+
+    def test_large_n_roundtrip(self, tmp_path, capsys):
+        table_path = tmp_path / "table.csv"
+        code, _, _ = run(
+            ["wigner", "--n", "256", "--state", "ket:5", "--output", str(table_path)],
+            capsys,
+        )
+        assert code == 0
+        density_path = tmp_path / "rho.json"
+        code, _, _ = run(
+            ["reconstruct", "--input", str(table_path), "--output", str(density_path)],
+            capsys,
+        )
+        assert code == 0
+        rho = matrix_from_json_obj(json.loads(density_path.read_text()))
+        assert max_abs(rho - density_from_state(basis_state(5, 256))) <= 1e-10
+
 
 class TestVerifyCommand:
     def test_passes_at_n2(self, capsys):
@@ -322,3 +357,11 @@ class TestToleranceEnv:
         code, _, err = run(["wigner", "--n", "2", "--state", "ket:0"], capsys)
         assert code == 2
         assert "DWIGNER_TOL" in err
+
+    @pytest.mark.parametrize("factor", ["inf", "nan"])
+    def test_rejects_non_finite_factor(self, capsys, monkeypatch, factor):
+        monkeypatch.setenv("DWIGNER_TOL", factor)
+        code, stdout, err = run(["wigner", "--n", "2", "--state", "ket:0"], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: DWIGNER_TOL") and err.count("\n") == 1

@@ -39,6 +39,11 @@ class TestTableCsv:
         with pytest.raises(ValueError):
             table_from_csv_text("1,2,3\n4,5,6\n7,8,9\n")
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            table_from_csv_text(f"0.5,0\n0,{bad}\n")
+
 
 class TestTableJson:
     def test_roundtrip(self):
@@ -59,6 +64,12 @@ class TestTableJson:
         obj["grid"] = "N"
         with pytest.raises(ValueError):
             table_from_json_obj(obj)
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_rejects_non_finite(self, bad):
+        text = f'{{"n": 1, "grid": "2N", "values": [[0.5, 0], [0, {bad}]]}}'
+        with pytest.raises(ValueError, match="finite"):
+            table_from_json_obj(json.loads(text))
 
 
 class TestMatrixJson:

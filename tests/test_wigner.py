@@ -1,18 +1,27 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from goldens import TABLE_N2_KET0, TABLE_N2_KET1, TABLES_N4
 from dwigner.matrix_core import adjoint, max_abs, trace_product
-from dwigner.phase_space import core_points, fourier_matrix, full_points, point_operator
+from dwigner.phase_space import (
+    _point_stack_core,
+    _point_stack_full,
+    core_points,
+    fourier_matrix,
+    full_points,
+    gamma_tensor,
+    point_operator,
+)
 from dwigner.sampling import (
     random_density,
     random_pure_density,
     random_state_vector,
 )
 from dwigner.wigner import (
+    PURITY_PREFACTOR_SCALE,
     DegenerateSuperpositionError,
     InconsistentTableError,
     NonHermitianResultError,
@@ -38,6 +47,10 @@ from dwigner.wigner import (
 )
 
 EVEN_DIMS = (2, 4, 6, 8)
+
+# random even N <= 64 and a seed for the state generator
+EVEN_N = st.integers(min_value=1, max_value=32).map(lambda k: 2 * k)
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 def ket_density(q0, n):
@@ -66,7 +79,7 @@ class TestGoldenTables:
 
 
 class TestWignerTable:
-    @pytest.mark.parametrize("n", EVEN_DIMS)
+    @pytest.mark.parametrize("n", (*EVEN_DIMS, 16))
     def test_lemma_matches_trace(self, n):
         rng = np.random.default_rng(n)
         for _ in range(5):
@@ -74,6 +87,7 @@ class TestWignerTable:
             w_trace = wigner_table(rho, method="trace")
             w_lemma = wigner_table(rho, method="lemma")
             assert max_abs(w_trace - w_lemma) <= 1e-10
+            np.testing.assert_array_equal(wigner_table(rho), w_lemma)
 
     @pytest.mark.parametrize("n", EVEN_DIMS)
     def test_realness(self, n):
@@ -176,6 +190,10 @@ class TestSuperposition:
         with pytest.raises(DegenerateSuperpositionError):
             superposition_state(0, 0, 0.0, 2)
 
+    def test_non_finite_phase_rejected(self):
+        with pytest.raises(NotNormalizedError):
+            density_from_state(superposition_state(0, 1, float("nan"), 2))
+
 
 class TestCrossTerm:
     def test_vanishes_without_coherence(self):
@@ -262,7 +280,7 @@ class TestReconstruction:
         w = wigner_table(np.eye(2) / 2)
         assert max_abs(reconstruct(w) - np.eye(2) / 2) <= 1e-12
 
-    @pytest.mark.parametrize("n", (2, 4, 6))
+    @pytest.mark.parametrize("n", (2, 4, 6, 16))
     def test_roundtrip_and_formula_agreement(self, n):
         rng = np.random.default_rng(23 + n)
         for _ in range(10):
@@ -283,6 +301,59 @@ class TestReconstruction:
     def test_unknown_formula(self):
         with pytest.raises(ValueError):
             reconstruct(TABLE_N2_KET0, formula="both")
+
+    def test_non_finite_table_rejected(self):
+        w = wigner_table(ket_density(0, 2))
+        w[3, 2] = np.nan
+        with pytest.raises(InconsistentTableError):
+            reconstruct(w)
+
+
+class TestFastPathProperties:
+    """Identities of the FFT path at random even N <= 64, where no dense oracle fits."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=EVEN_N, seed=SEEDS)
+    def test_reconstruct_round_trip(self, n, seed):
+        rho = random_density(n, np.random.default_rng(seed))
+        assert max_abs(reconstruct(wigner_table(rho)) - rho) <= 1e-10
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=EVEN_N, seed=SEEDS)
+    def test_marginals(self, n, seed):
+        rho = random_density(n, np.random.default_rng(seed))
+        w = wigner_table(rho)
+        f = fourier_matrix(n)
+        assert max_abs(marginal_position(w) - np.diag(rho).real) <= 1e-10
+        assert max_abs(marginal_momentum(w) - np.diag(adjoint(f) @ rho @ f).real) <= 1e-10
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=EVEN_N, seed=SEEDS)
+    def test_overlap(self, n, seed):
+        rng = np.random.default_rng(seed)
+        rho1 = random_density(n, rng)
+        rho2 = random_density(n, rng)
+        lhs = np.trace(rho1 @ rho2).real
+        assert abs(table_overlap(wigner_table(rho1), wigner_table(rho2)) - lhs) <= 1e-10
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=EVEN_N, seed=SEEDS)
+    def test_symmetry_residual_is_zero(self, n, seed):
+        w = wigner_table(random_density(n, np.random.default_rng(seed)))
+        assert symmetry_residual(w) == 0.0
+
+    def test_default_paths_build_no_stack(self):
+        # a cached stack would count a hit, a new one a miss
+        n = 10
+        w = wigner_table(random_density(n, np.random.default_rng(83)))
+        before = (_point_stack_full.cache_info(), _point_stack_core.cache_info())
+        wigner_table(reconstruct(w))
+        purity_residual(w)
+        assert (_point_stack_full.cache_info(), _point_stack_core.cache_info()) == before
+
+    def test_stack_caches_are_bounded(self):
+        assert _point_stack_full.cache_info().maxsize == 4
+        assert _point_stack_core.cache_info().maxsize == 4
 
 
 class TestMarginals:
@@ -435,6 +506,21 @@ class TestPurityConstraint:
         for _ in range(3):
             w = wigner_table(random_pure_density(n, rng))
             assert purity_residual(w) <= 1e-8
+
+    @pytest.mark.parametrize("n", (2, 4, 6))
+    def test_matches_gamma_tensor_oracle(self, n):
+        rng = np.random.default_rng(79 + n)
+        tables = [
+            wigner_table(random_pure_density(n, rng)),
+            wigner_table(random_density(n, rng)),
+            rng.standard_normal((2 * n, 2 * n)),  # violates the symmetry relation
+        ]
+        gamma = gamma_tensor(n)
+        for w in tables:
+            core = w[:n, :n].reshape(-1)
+            quad = np.einsum("abc,b,c->a", gamma, core, core)
+            oracle = max_abs(w.reshape(-1) - PURITY_PREFACTOR_SCALE * n * n * quad)
+            assert purity_residual(w) == pytest.approx(oracle, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("n", (2, 4))
     def test_mixed_state_violates_constraint(self, n):
