@@ -2,19 +2,25 @@
 
 A channel is a finite family of N x N matrices V_i with
 sum_i V_i* V_i = I, acting as rho -> sum_i V_i rho V_i*.  The module also
-provides the phase-space propagator of a unitary,
+provides the phase-space propagator of a unitary U, which implements
+conjugation by U directly on Wigner tables.  Its ``apply`` inverts a
+table through the row-wise FFT kernel of :mod:`dwigner.wigner`,
+conjugates, and tabulates again, in O(N^3) time and O(N^2) memory.  The
+equivalent real 4N^2 x 4N^2 matrix
 
-    Z[alpha, beta] = N tr(A(alpha) U A(beta) U*),
+    Z[alpha, beta] = N tr(A(alpha) U A(beta) U*)
 
-a real 4N^2 x 4N^2 matrix that implements conjugation by U directly on
-Wigner tables, the Fourier-conjugated channel with Kraus operators
-F V_i F*, and the per-point square-root decomposition M_i = sqrt(A) V_i
-that turns a channel's Wigner value into a sum of traces.
+is built from the dense point-operator stack only when ``z`` is first
+read; it serves as the oracle in the tests and ``verify``.  Last come the
+Fourier-conjugated channel with Kraus operators F V_i F*, and the
+per-point square-root decomposition M_i = sqrt(A) V_i that turns a
+channel's Wigner value into a sum of traces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +33,14 @@ from .matrix_core import (
     validate_unitary,
 )
 from .phase_space import _point_stack_full, full_points, point_operator
-from .wigner import NonHermitianResultError, wigner_table
+from .wigner import (
+    NonHermitianResultError,
+    _core_inverse,
+    _fold_to_core,
+    _require_even,
+    _table_lemma,
+    wigner_table,
+)
 
 
 class InvalidChannelError(ValueError):
@@ -138,37 +151,66 @@ def channel_wigner(channel: KrausChannel, rho, completeness_tol: float = 1e-8) -
 
 @dataclass
 class PhasePropagator:
-    """Real matrix acting on flattened Wigner tables, row-major grid order."""
+    """Conjugation rho -> U rho U* by a unitary U, acting on Wigner tables.
 
-    n: int
-    z: np.ndarray
+    ``apply`` evaluates the map in O(N^3) time and O(N^2) memory without
+    the dense point-operator stack.  ``z`` is the same map as the real
+    4N^2 x 4N^2 matrix Z[alpha, beta] = N tr(A(alpha) U A(beta) U*) on
+    flattened tables (row-major grid order), built on first access.
+    """
+
+    u: np.ndarray
+    imag_tol: float = 1e-12
+
+    @property
+    def n(self) -> int:
+        return self.u.shape[0]
 
     def apply(self, table) -> np.ndarray:
+        """Table of U rho U* with rho = N * sum over the full lattice of W A.
+
+        For every real table this equals ``z @ table.reshape(-1)``; rho is
+        the core inverse of the sign-corrected quadrant mean, so no
+        symmetry check is applied.
+        """
         w = np.asarray(table, dtype=float)
         if w.shape != (2 * self.n, 2 * self.n):
             raise DimMismatchError(
                 f"expected a {2 * self.n}x{2 * self.n} table, got shape {w.shape}"
             )
-        return (self.z @ w.reshape(-1)).reshape(2 * self.n, 2 * self.n)
+        if not np.isfinite(w).all():
+            raise ValueError("table entries must be finite")
+        rho = _core_inverse(_fold_to_core(w))
+        return _table_lemma(self.u @ rho @ adjoint(self.u)).real.copy()
+
+    @cached_property
+    def z(self) -> np.ndarray:
+        """The 4N^2 x 4N^2 kernel; an imaginary residue above ``imag_tol`` raises."""
+        n = self.n
+        stack = _point_stack_full(n)
+        conjugated = self.u @ stack @ adjoint(self.u)
+        z = n * (
+            stack.reshape(4 * n * n, n * n)
+            @ conjugated.transpose(0, 2, 1).reshape(4 * n * n, n * n).T
+        )
+        residue = max_abs(z.imag)
+        if residue > self.imag_tol:
+            raise NonHermitianResultError(
+                f"propagator has imaginary residue {residue:.3e}"
+            )
+        return z.real.copy()
 
 
 def unitary_propagator(u, imag_tol: float = 1e-12) -> PhasePropagator:
-    """Z[alpha, beta] = N tr(A(alpha) U A(beta) U*) for a unitary U.
+    """Phase-space propagator of a unitary U on even dimension N.
 
-    Applying Z to the table of rho yields the table of U rho U*.  The
-    entries are real; an imaginary residue above ``imag_tol`` raises.
+    Applying it to the table of rho yields the table of U rho U*.  Only U
+    is validated here; the kernel ``z`` is built on first access, where an
+    imaginary residue above ``imag_tol`` raises.
     """
     mat = validate_unitary(u)
-    n = mat.shape[0]
-    stack = _point_stack_full(n)
-    conjugated = np.einsum("ij,ajk,lk->ail", mat, stack, np.conj(mat))
-    z = n * np.einsum("aij,bji->ab", stack, conjugated)
-    residue = max_abs(z.imag)
-    if residue > imag_tol:
-        raise NonHermitianResultError(
-            f"propagator has imaginary residue {residue:.3e}"
-        )
-    return PhasePropagator(n=n, z=z.real.copy())
+    _require_even(mat.shape[0])
+    return PhasePropagator(u=mat, imag_tol=imag_tol)
 
 
 def fourier_conjugate_channel(channel: KrausChannel, f) -> KrausChannel:

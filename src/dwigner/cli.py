@@ -254,6 +254,8 @@ def cmd_reconstruct(args, tol_factor: float) -> int:
 
 def cmd_verify(args, tol_factor: float) -> int:
     _require_even(args.n)
+    if args.seed < 0:
+        raise InputError(f"seed must be nonnegative, got {args.seed}")
     outcomes = run_checks(args.n, seed=args.seed)
     width = max(len(o.name) for o in outcomes)
     for outcome in outcomes:
@@ -323,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the seeded invariant suite")
     p.add_argument("--n", type=int, required=True, help="Hilbert dimension (even)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="nonnegative generator seed")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -240,6 +240,17 @@ def restrict_to_core(table) -> np.ndarray:
     return w[:n, :n].copy()
 
 
+def _quadrant_signs(n: int) -> np.ndarray:
+    """Signs (-1)^(sp*q + sq*p) of the sign rule, indexed [sq, q, sp, p].
+
+    The sq*sp*N term of the rule is even for the even N used here.
+    """
+    k = np.arange(n)
+    s = np.arange(2)
+    parity = s[None, None, :, None] * k[None, :, None, None] + s[:, None, None, None] * k
+    return 1.0 - 2.0 * (parity % 2)
+
+
 def extend_by_symmetry(core) -> np.ndarray:
     """Fill the 2N x 2N table from its N x N core via the sign rule."""
     c = np.asarray(core, dtype=float)
@@ -247,14 +258,18 @@ def extend_by_symmetry(core) -> np.ndarray:
         raise ValueError(f"expected a square core, got shape {c.shape}")
     n = c.shape[0]
     _require_even(n)
-    q = np.arange(n)[:, None]
-    p = np.arange(n)[None, :]
-    w = np.empty((2 * n, 2 * n))
-    for sq in (0, 1):
-        for sp in (0, 1):
-            signs = np.where((sp * q + sq * p + sq * sp * n) % 2 == 0, 1.0, -1.0)
-            w[sq * n : (sq + 1) * n, sp * n : (sp + 1) * n] = c * signs
-    return w
+    return (c[None, :, None, :] * _quadrant_signs(n)).reshape(2 * n, 2 * n)
+
+
+def _fold_to_core(table: np.ndarray) -> np.ndarray:
+    """Sign-corrected mean of the four N x N quadrants of a 2N x 2N table.
+
+    For a table that obeys the sign rule this is its core.  For any real
+    table, ``_core_inverse`` of the fold is N * sum over the full lattice
+    of W A, because A(alpha) itself obeys the sign rule.
+    """
+    n = table.shape[0] // 2
+    return (table.reshape(2, n, 2, n) * _quadrant_signs(n)).sum(axis=(0, 2)) / 4
 
 
 def reconstruct(table, formula: str = "core", symmetry_tol: float = 1e-8) -> np.ndarray:

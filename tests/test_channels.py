@@ -30,7 +30,12 @@ from dwigner.phase_space import (
     point_operator_stack,
 )
 from dwigner.sampling import random_density, random_kraus_channel, random_unitary
-from dwigner.wigner import basis_state, density_from_state, wigner_table
+from dwigner.wigner import (
+    OddDimensionError,
+    basis_state,
+    density_from_state,
+    wigner_table,
+)
 
 
 def eigh_sqrt_factor(q, p, n):
@@ -184,14 +189,37 @@ class TestUnitaryPropagator:
             assert max_abs(evolved - direct) <= 1e-9
 
     def test_propagator_entries_real_shape(self):
-        prop = unitary_propagator(fourier_matrix(2))
-        assert prop.z.shape == (16, 16)
-        assert prop.z.dtype == float
+        for n in (2, 4):
+            prop = unitary_propagator(fourier_matrix(n))
+            assert prop.z.shape == (4 * n * n, 4 * n * n)
+            assert prop.z.dtype == float
+
+    @pytest.mark.parametrize("n", (2, 4, 6, 8))
+    def test_apply_matches_kernel(self, n):
+        # symmetric tables of states and arbitrary real 2N x 2N tables alike
+        rng = np.random.default_rng(43 + n)
+        prop = unitary_propagator(random_unitary(n, rng))
+        tables = [wigner_table(random_density(n, rng)) for _ in range(3)]
+        tables.extend(rng.standard_normal((2 * n, 2 * n)) for _ in range(3))
+        for w in tables:
+            via_kernel = (prop.z @ w.reshape(-1)).reshape(2 * n, 2 * n)
+            assert max_abs(prop.apply(w) - via_kernel) <= 1e-12
 
     def test_apply_rejects_wrong_shape(self):
         prop = unitary_propagator(np.eye(2))
         with pytest.raises(DimMismatchError):
             prop.apply(np.zeros((6, 6)))
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_apply_rejects_non_finite(self, bad):
+        w = wigner_table(density_from_state(basis_state(0, 2)))
+        w[1, 3] = bad
+        with pytest.raises(ValueError, match="table entries must be finite"):
+            unitary_propagator(fourier_matrix(2)).apply(w)
+
+    def test_rejects_odd_dimension(self):
+        with pytest.raises(OddDimensionError):
+            unitary_propagator(fourier_matrix(3))
 
     def test_gamma_invariance_n2(self):
         # literal triple contraction of Z against the full kernel tensor

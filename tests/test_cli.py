@@ -17,7 +17,12 @@ from dwigner.io import (
 from dwigner.channels import stochastic_channel
 from dwigner.matrix_core import max_abs
 from dwigner.phase_space import fourier_matrix
-from dwigner.wigner import basis_state, density_from_state, wigner_table
+from dwigner.wigner import (
+    basis_state,
+    density_from_state,
+    superposition_state,
+    wigner_table,
+)
 
 
 def run(args, capsys):
@@ -192,6 +197,28 @@ class TestEvolveCommand:
         )
         assert code == 2
 
+    def test_large_n_double_fourier(self, tmp_path, capsys):
+        table_path = tmp_path / "evolved.csv"
+        code, _, _ = run(
+            [
+                "evolve", "--n", "256", "--state", "sup:3,10,0.7",
+                "--unitary", "fourier", "--steps", "2", "--output", str(table_path),
+            ],
+            capsys,
+        )
+        assert code == 0
+        density_path = tmp_path / "rho.json"
+        code, _, _ = run(
+            ["reconstruct", "--input", str(table_path), "--output", str(density_path)],
+            capsys,
+        )
+        assert code == 0
+        rho = matrix_from_json_obj(json.loads(density_path.read_text()))
+        f2 = np.linalg.matrix_power(fourier_matrix(256), 2)
+        psi = superposition_state(3, 10, 0.7, 256)
+        expected = f2 @ density_from_state(psi) @ f2.conj().T
+        assert max_abs(rho - expected) <= 1e-10
+
     def test_rejects_bad_steps(self, capsys):
         code, _, _ = run(
             ["evolve", "--n", "2", "--state", "ket:0", "--unitary", "fourier", "--steps", "0"],
@@ -330,6 +357,13 @@ class TestVerifyCommand:
         code, _, err = run(["verify", "--n", "3"], capsys)
         assert code == 2
         assert "N must be even" in err
+
+    def test_negative_seed_exits_2(self, capsys):
+        code, stdout, err = run(["verify", "--n", "2", "--seed", "-1"], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "seed" in err
 
     def test_deterministic_report(self, capsys):
         code1, out1, _ = run(["verify", "--n", "4", "--seed", "7"], capsys)

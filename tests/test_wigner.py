@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from goldens import TABLE_N2_KET0, TABLE_N2_KET1, TABLES_N4
+from dwigner.channels import unitary_propagator
 from dwigner.matrix_core import adjoint, max_abs, trace_product
 from dwigner.phase_space import (
     _point_stack_core,
@@ -19,6 +20,7 @@ from dwigner.sampling import (
     random_density,
     random_pure_density,
     random_state_vector,
+    random_unitary,
 )
 from dwigner.wigner import (
     PURITY_PREFACTOR_SCALE,
@@ -342,13 +344,25 @@ class TestFastPathProperties:
         w = wigner_table(random_density(n, np.random.default_rng(seed)))
         assert symmetry_residual(w) == 0.0
 
+    @settings(max_examples=25, deadline=None)
+    @given(n=EVEN_N, seed=SEEDS)
+    def test_propagator_conjugates(self, n, seed):
+        rng = np.random.default_rng(seed)
+        rho = random_density(n, rng)
+        u = random_unitary(n, rng)
+        evolved = unitary_propagator(u).apply(wigner_table(rho))
+        assert max_abs(evolved - wigner_table(u @ rho @ adjoint(u))) <= 1e-12
+
     def test_default_paths_build_no_stack(self):
         # a cached stack would count a hit, a new one a miss
         n = 10
-        w = wigner_table(random_density(n, np.random.default_rng(83)))
+        rng = np.random.default_rng(83)
+        w = wigner_table(random_density(n, rng))
+        u = random_unitary(n, rng)
         before = (_point_stack_full.cache_info(), _point_stack_core.cache_info())
         wigner_table(reconstruct(w))
         purity_residual(w)
+        unitary_propagator(u).apply(w)
         assert (_point_stack_full.cache_info(), _point_stack_core.cache_info()) == before
 
     def test_stack_caches_are_bounded(self):
