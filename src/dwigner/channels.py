@@ -14,7 +14,9 @@ is built from the dense point-operator stack only when ``z`` is first
 read; it serves as the oracle in the tests and ``verify``.  Last come the
 Fourier-conjugated channel with Kraus operators F V_i F*, and the
 per-point square-root decomposition M_i = sqrt(A) V_i that turns a
-channel's Wigner value into a sum of traces.
+channel's Wigner value into a sum of traces.  Like ``channel_wigner``,
+its report over all 4N^2 points needs no stack: it is evaluated from the
+monomial entries of the point operators in O(N^3).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .matrix_core import (
     max_abs,
     validate_unitary,
 )
-from .phase_space import _point_stack_full, full_points, point_operator
+from .phase_space import _point_stack_full, point_operator
 from .wigner import (
     NonHermitianResultError,
     _core_inverse,
@@ -128,25 +130,12 @@ def apply_channel(channel: KrausChannel, rho, completeness_tol: float = 1e-8) ->
 
 
 def channel_wigner(channel: KrausChannel, rho, completeness_tol: float = 1e-8) -> np.ndarray:
-    """Wigner table of the channel output, accumulated term by term.
+    """Wigner table of the channel output sum_i V_i rho V_i*.
 
-    Each Kraus term V_i rho V_i* contributes its own table; by linearity the
-    sum equals ``wigner_table(apply_channel(channel, rho))`` up to roundoff.
+    One table of the output; by linearity it equals the sum of the tables
+    of the Kraus terms up to roundoff.
     """
-    m = as_complex_matrix(rho)
-    if m.shape != (channel.n, channel.n):
-        raise DimMismatchError(
-            f"state is {m.shape}, channel acts on {channel.n}x{channel.n}"
-        )
-    residual = channel.completeness_residual()
-    if residual > completeness_tol:
-        raise InvalidChannelError(
-            f"channel is not trace preserving (residual {residual:.3e})"
-        )
-    out = np.zeros((2 * channel.n, 2 * channel.n))
-    for v in channel.kraus:
-        out += wigner_table(v @ m @ adjoint(v))
-    return out
+    return wigner_table(apply_channel(channel, rho, completeness_tol))
 
 
 @dataclass
@@ -224,24 +213,16 @@ def fourier_conjugate_channel(channel: KrausChannel, f) -> KrausChannel:
     return KrausChannel([mat @ v @ adjoint(mat) for v in channel.kraus])
 
 
-def _sqrt_factors(doubled: np.ndarray) -> np.ndarray:
-    """Principal square roots of A = B/(2N) from B = 2N A, batched over leading axes.
-
-    B is Hermitian with spectrum {-1, +1}, so P+- = (I +- B)/2 are its
-    spectral projectors and S = (P+ + i P-)/sqrt(2N) squares to A.
-    """
-    n = doubled.shape[-1]
-    return ((1 + 1j) * np.eye(n) + (1 - 1j) * doubled) / (2 * np.sqrt(2 * n))
-
-
 def point_sqrt_factor(q: int, p: int, n: int) -> np.ndarray:
     """S with S @ S = A(q, p), the principal square root.
 
-    2N A(q, p) has eigenvalues +-1, so S = (P+ + i P-)/sqrt(2N) in closed
+    B = 2N A(q, p) is Hermitian with eigenvalues +-1, so P+- = (I +- B)/2
+    are its spectral projectors and S = (P+ + i P-)/sqrt(2N) in closed
     form.  Where A(q, p) has negative eigenvalues S is no longer Hermitian;
     S @ S = A holds regardless.
     """
-    return _sqrt_factors(2 * n * point_operator(q, p, n))
+    doubled = 2 * n * point_operator(q, p, n)
+    return ((1 + 1j) * np.eye(n) + (1 - 1j) * doubled) / (2 * np.sqrt(2 * n))
 
 
 def fano_sqrt_decomposition(
@@ -259,6 +240,23 @@ def fano_sqrt_decomposition(
     return [s @ v for v in channel.kraus], s
 
 
+def _doubled_point_entries(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Monomial entries of B = 2N A(q, p) at all 4N^2 lattice points.
+
+    Column m of B(q, p) holds its one nonzero in row (q - m) mod N, with
+    value exp(i*pi*p*(q - 2m)/N).  Returns ``rows[q, m]`` and
+    ``values[q, p, m]``, q and p on the full lattice in row-major order.
+    """
+    k = np.arange(2 * n)
+    m = np.arange(n)
+    rows = (k[:, None] - m) % n
+    half = np.exp(1j * np.pi * m / n)
+    roots = np.concatenate([half, -half])
+    # exponent p * (q - 2m) mod 2N, indexed [q, p, m]
+    exponents = (k[None, :, None] * (k[:, None, None] - 2 * m)) % (2 * n)
+    return rows, roots[exponents]
+
+
 def adjoint_form_report(channel: KrausChannel, rho, psd_tol: float = 1e-12) -> list[dict]:
     """Per-grid-point comparison of the two decomposition identities.
 
@@ -267,28 +265,50 @@ def adjoint_form_report(channel: KrausChannel, rho, psd_tol: float = 1e-12) -> l
     cyclic form sum tr(S V rho V* S) and the adjoint form sum tr(M rho M*)
     against the channel-output Wigner value.
 
-    The spectrum of 2N A(q, p) is {-1, +1}, so the minimum eigenvalue is
-    -1/(2N) unless 2N A(q, p) = I.  Both forms are traces against the
-    channel output Lambda(rho), tr(S^2 Lambda(rho)) and tr(S* S Lambda(rho)),
-    evaluated for all points at once.
+    The spectrum of B = 2N A(q, p) is {-1, +1}, so the minimum eigenvalue
+    is -1/(2N) unless B = I.  Both forms are traces against the channel
+    output Lambda = Lambda(rho): with S = ((1+i) I + (1-i) B)/(2 sqrt(2N)),
+
+        tr(S^2 Lambda)  = (2i tr Lambda + 4 tr(B Lambda) - 2i tr(B^2 Lambda))/(8N),
+        tr(S* S Lambda) = (2 tr Lambda + 2 tr(B^2 Lambda))/(8N),
+
+    and tr(B Lambda), tr(B^2 Lambda) are sums over the monomial entries of
+    B (B^2 is diagonal), in O(N^3) time and memory for all points.
     """
     n = channel.n
     out_rho = apply_channel(channel, rho)
-    doubled = 2 * n * _point_stack_full(n)
-    factors = _sqrt_factors(doubled)
-    cyclic = np.einsum("aij,ji->a", factors @ factors, out_rho)
-    adj = np.einsum("aij,ji->a", np.conj(factors).transpose(0, 2, 1) @ factors, out_rho)
-    is_identity = np.abs(doubled - np.eye(n)).max(axis=(1, 2)) <= TOL_ALGEBRAIC
+    rows, values = _doubled_point_entries(n)
+    m = np.arange(n)
+    # tr(B Lambda) = sum_m B[row_m, m] Lambda[m, row_m]
+    tr_b = np.einsum("qpm,qm->qp", values, out_rho[m, rows])
+    # B^2[m, m] = B[m, row_m] B[row_m, m], the entries of columns row_m and m
+    squared = np.take_along_axis(values, rows[:, None, :], axis=2) * values
+    tr_b2 = squared @ np.diagonal(out_rho)
+    tr_out = np.trace(out_rho)
+    cyclic = (2j * tr_out + 4 * tr_b - 2j * tr_b2) / (8 * n)
+    adj = (2 * tr_out + 2 * tr_b2) / (8 * n)
+    # B = I exactly when every column's entry sits on the diagonal with value 1
+    deviation = np.where(
+        rows[:, None, :] == m, np.abs(values - 1), np.maximum(np.abs(values), 1)
+    )
+    is_identity = deviation.max(axis=2) <= TOL_ALGEBRAIC
     min_eigs = np.where(is_identity, 1.0, -1.0) / (2 * n)
-    w = wigner_table(out_rho).reshape(-1)
+    w = wigner_table(out_rho)
+    points = np.indices((2 * n, 2 * n)).reshape(2, -1).tolist()
+    columns = (
+        min_eigs.reshape(-1).tolist(),
+        (min_eigs >= -psd_tol).reshape(-1).tolist(),
+        np.abs(cyclic - w).reshape(-1).tolist(),
+        np.abs(adj - w).reshape(-1).tolist(),
+    )
     return [
         {
             "q": q,
             "p": p,
-            "min_eigenvalue": float(min_eigs[a]),
-            "psd": bool(min_eigs[a] >= -psd_tol),
-            "cyclic_residual": float(abs(cyclic[a] - w[a])),
-            "adjoint_residual": float(abs(adj[a] - w[a])),
+            "min_eigenvalue": min_eig,
+            "psd": psd,
+            "cyclic_residual": cyclic_residual,
+            "adjoint_residual": adjoint_residual,
         }
-        for a, (q, p) in enumerate(full_points(n))
+        for q, p, min_eig, psd, cyclic_residual, adjoint_residual in zip(*points, *columns)
     ]

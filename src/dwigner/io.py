@@ -27,8 +27,8 @@ FLOAT_FMT = "%.17g"
 def table_to_csv_text(table) -> str:
     w = np.asarray(table, dtype=float)
     table_dimension(w)
-    lines = [",".join(FLOAT_FMT % value for value in row) for row in w]
-    return "\n".join(lines) + "\n"
+    row_fmt = ",".join([FLOAT_FMT] * w.shape[1])
+    return "".join([row_fmt % tuple(row) + "\n" for row in w.tolist()])
 
 
 def _require_finite(w: np.ndarray) -> None:

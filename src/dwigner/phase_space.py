@@ -112,9 +112,9 @@ def point_index(q: int, p: int, n: int) -> int:
     return (q % (2 * n)) * (2 * n) + (p % (2 * n))
 
 
-# The dense stacks hold 4N^2 * N^2 (or N^4) complex entries.  Only the
-# propagator, the square-root report and the reference oracles use them; a
-# small bound keeps a process that sweeps N from pinning every stack it built.
+# The dense stacks hold 4N^2 * N^2 (or N^4) complex entries.  Only a
+# propagator's kernel ``z`` and the reference oracles use them; a small
+# bound keeps a process that sweeps N from pinning every stack it built.
 @lru_cache(maxsize=4)
 def _point_stack_full(n: int) -> np.ndarray:
     stack = np.stack([point_operator(q, p, n) for q, p in full_points(n)])

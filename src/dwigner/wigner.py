@@ -31,6 +31,8 @@ are kept only as independent oracles for the tests and ``verify``.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .matrix_core import as_complex_matrix, max_abs
@@ -109,6 +111,10 @@ def wigner_table(rho, method: str = "lemma", imag_tol: float = 1e-10) -> np.ndar
     return values.real.copy()
 
 
+# The per-N constants of the FFT kernel are cached read-only: rebuilding
+# them cost a large part of each small-N kernel call.  The bound covers a
+# few sizes in use at once, each needing two phase tables.
+@lru_cache(maxsize=16)
 def _lattice_phases(n: int, size: int, sign: int) -> np.ndarray:
     """exp(sign * i*pi*(q*p mod 2N)/N) for 0 <= q, p < size.
 
@@ -117,15 +123,25 @@ def _lattice_phases(n: int, size: int, sign: int) -> np.ndarray:
     """
     k = np.arange(size)
     half = np.exp(sign * 1j * np.pi * np.arange(n) / n)
-    return np.concatenate([half, -half])[np.outer(k, k) % (2 * n)]
+    phases = np.concatenate([half, -half])[np.outer(k, k) % (2 * n)]
+    phases.flags.writeable = False
+    return phases
+
+
+@lru_cache(maxsize=8)
+def _wrap_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pair selecting wrapped[q, m] = rho[(q - m) mod N, m] for 0 <= q, m < N."""
+    m = np.arange(n)
+    rows = (m[:, None] - m) % n
+    rows.flags.writeable = False
+    m.flags.writeable = False
+    return rows, m
 
 
 def _table_lemma(rho: np.ndarray) -> np.ndarray:
     n = rho.shape[0]
-    m = np.arange(n)
     # wrapped[q, m] = rho[(q - m) mod N, m]; rows q and q + N coincide
-    wrapped = rho[(m[:, None] - m) % n, m]
-    rows = n * np.fft.ifft(wrapped, axis=1)
+    rows = n * np.fft.ifft(rho[_wrap_index(n)], axis=1)
     return np.tile(rows, (2, 2)) * _lattice_phases(n, 2 * n, -1) / (2 * n)
 
 
@@ -135,10 +151,9 @@ def _core_inverse(core: np.ndarray) -> np.ndarray:
     Undoes ``_table_lemma`` row by row; no symmetry check.
     """
     n = core.shape[0]
-    m = np.arange(n)
     spectra = 2 * n * core * _lattice_phases(n, n, 1)
     rho = np.empty((n, n), dtype=complex)
-    rho[(m[:, None] - m) % n, m] = np.fft.fft(spectra, axis=1) / n
+    rho[_wrap_index(n)] = np.fft.fft(spectra, axis=1) / n
     return rho
 
 
@@ -240,6 +255,7 @@ def restrict_to_core(table) -> np.ndarray:
     return w[:n, :n].copy()
 
 
+@lru_cache(maxsize=8)
 def _quadrant_signs(n: int) -> np.ndarray:
     """Signs (-1)^(sp*q + sq*p) of the sign rule, indexed [sq, q, sp, p].
 
@@ -248,7 +264,9 @@ def _quadrant_signs(n: int) -> np.ndarray:
     k = np.arange(n)
     s = np.arange(2)
     parity = s[None, None, :, None] * k[None, :, None, None] + s[:, None, None, None] * k
-    return 1.0 - 2.0 * (parity % 2)
+    signs = 1.0 - 2.0 * (parity % 2)
+    signs.flags.writeable = False
+    return signs
 
 
 def extend_by_symmetry(core) -> np.ndarray:
@@ -300,15 +318,15 @@ def reconstruct(table, formula: str = "core", symmetry_tol: float = 1e-8) -> np.
 def marginal_position(table) -> np.ndarray:
     """Position distribution: entry q is the sum of row 2q."""
     w = np.asarray(table, dtype=float)
-    n = table_dimension(w)
-    return np.array([w[2 * q, :].sum() for q in range(n)])
+    table_dimension(w)
+    return w[0::2].sum(axis=1)
 
 
 def marginal_momentum(table) -> np.ndarray:
     """Momentum distribution: entry p is the sum of column 2p."""
     w = np.asarray(table, dtype=float)
-    n = table_dimension(w)
-    return np.array([w[:, 2 * p].sum() for p in range(n)])
+    table_dimension(w)
+    return w[:, 0::2].sum(axis=0)
 
 
 def w_transform(psi) -> np.ndarray:
@@ -320,9 +338,8 @@ def w_transform(psi) -> np.ndarray:
     v = np.asarray(psi, dtype=complex)
     if v.ndim != 1:
         raise ValueError(f"expected a state vector, got shape {v.shape}")
-    n = v.shape[0]
-    w = wigner_table(density_from_state(v))
-    return np.array([w[:, (2 * p) % (2 * n)].sum() for p in range(2 * n)])
+    column_sums = wigner_table(density_from_state(v))[:, 0::2].sum(axis=0)
+    return np.tile(column_sums, 2)
 
 
 def momentum_distribution(psi) -> np.ndarray:

@@ -141,6 +141,9 @@ class TestChannelWigner:
             fused = channel_wigner(ch, rho)
             direct = wigner_table(apply_channel(ch, rho))
             assert max_abs(fused - direct) <= 1e-12
+            # linearity: the sum of the per-term tables is the reference
+            per_term = sum(wigner_table(v @ rho @ adjoint(v)) for v in ch.kraus)
+            assert max_abs(fused - per_term) <= 1e-12
 
     def test_stationary_input(self):
         # symmetric P has the uniform vector as its fixed point
@@ -363,7 +366,7 @@ class TestSqrtDecomposition:
         # adjoint form evaluates tr(|A| Lambda(rho)); record, do not assert zero
         assert all(np.isfinite(row["adjoint_residual"]) for row in non_psd)
 
-    @pytest.mark.parametrize("n", (2, 4))
+    @pytest.mark.parametrize("n", (2, 4, 6))
     def test_report_matches_per_point_oracle(self, n):
         rng = np.random.default_rng(71 + n)
         ch = random_kraus_channel(n, 3, rng)

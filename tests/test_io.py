@@ -28,6 +28,15 @@ class TestTableCsv:
         back = table_from_csv_text(table_to_csv_text(table))
         np.testing.assert_array_equal(back, table)  # 17 digits round-trip doubles
 
+    def test_matches_per_value_formatter(self):
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 5):
+            shape = (2 * n, 2 * n)
+            table = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+            table.flat[:3] = (-0.0, 1e-300, 1e300)
+            expected = "".join(",".join("%.17g" % v for v in row) + "\n" for row in table)
+            assert table_to_csv_text(table) == expected
+
     def test_golden_layout(self):
         text = table_to_csv_text(TABLE_N2_KET0)
         lines = text.strip().split("\n")

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from goldens import TABLE_N2_KET0, TABLE_N2_KET1, TABLES_N4
-from dwigner.channels import unitary_propagator
+from dwigner.channels import adjoint_form_report, channel_wigner, unitary_propagator
 from dwigner.matrix_core import adjoint, max_abs, trace_product
 from dwigner.phase_space import (
     _point_stack_core,
@@ -18,6 +18,7 @@ from dwigner.phase_space import (
 )
 from dwigner.sampling import (
     random_density,
+    random_kraus_channel,
     random_pure_density,
     random_state_vector,
     random_unitary,
@@ -29,6 +30,9 @@ from dwigner.wigner import (
     NonHermitianResultError,
     NotNormalizedError,
     OddDimensionError,
+    _lattice_phases,
+    _quadrant_signs,
+    _wrap_index,
     basis_state,
     density_from_state,
     extend_by_symmetry,
@@ -359,15 +363,35 @@ class TestFastPathProperties:
         rng = np.random.default_rng(83)
         w = wigner_table(random_density(n, rng))
         u = random_unitary(n, rng)
+        ch = random_kraus_channel(n, 3, rng)
         before = (_point_stack_full.cache_info(), _point_stack_core.cache_info())
         wigner_table(reconstruct(w))
         purity_residual(w)
         unitary_propagator(u).apply(w)
+        channel_wigner(ch, reconstruct(w))
+        adjoint_form_report(ch, reconstruct(w))
         assert (_point_stack_full.cache_info(), _point_stack_core.cache_info()) == before
 
     def test_stack_caches_are_bounded(self):
         assert _point_stack_full.cache_info().maxsize == 4
         assert _point_stack_core.cache_info().maxsize == 4
+
+    @pytest.mark.parametrize(
+        "constant",
+        (
+            lambda n: _lattice_phases(n, 2 * n, -1),
+            lambda n: _lattice_phases(n, n, 1),
+            lambda n: _quadrant_signs(n),
+            lambda n: _wrap_index(n)[0],
+            lambda n: _wrap_index(n)[1],
+        ),
+    )
+    def test_cached_kernel_constants_are_read_only(self, constant):
+        # every FFT-kernel call shares these arrays, so a write must fail
+        arr = constant(6)
+        with pytest.raises(ValueError):
+            arr[0, ...] = 0
+        assert constant(6) is arr
 
 
 class TestMarginals:
