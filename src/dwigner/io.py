@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import io as _stdio
 import json
+import warnings
 
 import numpy as np
 
@@ -25,10 +26,25 @@ FLOAT_FMT = "%.17g"
 
 
 def table_to_csv_text(table) -> str:
+    """CSV text of a table, each entry printed with ``FLOAT_FMT``.
+
+    A table that obeys the sign rule W(q + N, p) = ±W(q, p) (and likewise
+    in p) holds at most N^2 distinct magnitudes among its 4N^2 entries, so
+    each magnitude is formatted once and every cell is looked up by its
+    magnitude and sign bit.  ``"%.17g" % -x == "-" + "%.17g" % x`` for
+    every x but NaN, which prints as ``nan`` whatever its sign bit, so the
+    text is the per-value formatting of every entry, byte for byte.
+    """
     w = np.asarray(table, dtype=float)
     table_dimension(w)
-    row_fmt = ",".join([FLOAT_FMT] * w.shape[1])
-    return "".join([row_fmt % tuple(row) + "\n" for row in w.tolist()])
+    magnitudes, inverse = np.unique(np.abs(w), return_inverse=True)
+    m = len(magnitudes)
+    cells = np.empty(2 * m, dtype=object)
+    cells[:m] = [FLOAT_FMT % v for v in magnitudes.tolist()]
+    cells[m:] = "-" + cells[:m]
+    negative = np.signbit(w) & ~np.isnan(w)
+    rows = cells[inverse.reshape(w.shape) + m * negative].tolist()
+    return "".join([",".join(row) + "\n" for row in rows])
 
 
 def _require_finite(w: np.ndarray) -> None:
@@ -37,7 +53,11 @@ def _require_finite(w: np.ndarray) -> None:
 
 
 def table_from_csv_text(text: str) -> np.ndarray:
-    w = np.atleast_2d(np.loadtxt(_stdio.StringIO(text), delimiter=","))
+    with warnings.catch_warnings():
+        # text without data rows (empty, blank or comments only) warns and
+        # loads as an empty array, which the shape check rejects
+        warnings.simplefilter("ignore", UserWarning)
+        w = np.atleast_2d(np.loadtxt(_stdio.StringIO(text), delimiter=","))
     table_dimension(w)
     _require_finite(w)
     return w
@@ -46,13 +66,35 @@ def table_from_csv_text(text: str) -> np.ndarray:
 def table_to_json_obj(table) -> dict:
     w = np.asarray(table, dtype=float)
     n = table_dimension(w)
-    return {"n": n, "grid": "2N", "values": [[float(v) for v in row] for row in w]}
+    return {"n": n, "grid": "2N", "values": w.tolist()}
+
+
+def _require_fields(obj, what: str, **types) -> None:
+    """Check that a parsed JSON value is an object with each key of its type."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} JSON must be an object, got {type(obj).__name__}")
+    for key, kind in types.items():
+        if key not in obj:
+            raise ValueError(f"{what} JSON has no {key!r} key")
+        value = obj[key]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ValueError(
+                f"{what} JSON {key!r} must be a {kind.__name__}, got {type(value).__name__}"
+            )
+
+
+def _float_array(data, what: str) -> np.ndarray:
+    try:
+        return np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what} must be nested lists of numbers") from exc
 
 
 def table_from_json_obj(obj) -> np.ndarray:
-    w = np.asarray(obj["values"], dtype=float)
+    _require_fields(obj, "table", n=int, values=list)
+    w = _float_array(obj["values"], "table values")
     n = table_dimension(w)
-    if int(obj["n"]) != n:
+    if obj["n"] != n:
         raise ValueError(f"declared n={obj['n']} does not match a {w.shape} table")
     if obj.get("grid", "2N") != "2N":
         raise ValueError(f"unsupported grid {obj.get('grid')!r}")
@@ -61,11 +103,12 @@ def table_from_json_obj(obj) -> np.ndarray:
 
 
 def _matrix_to_pairs(m: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+    """Nested [re, im] lists of a complex array, one pair per entry."""
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 def _matrix_from_pairs(rows) -> np.ndarray:
-    data = np.asarray(rows, dtype=float)
+    data = _float_array(rows, "matrix entries")
     if data.ndim != 3 or data.shape[2] != 2:
         raise ValueError("matrix entries must be [re, im] pairs nested by rows")
     return data[..., 0] + 1j * data[..., 1]
@@ -79,27 +122,27 @@ def matrix_to_json_obj(m) -> dict:
 
 
 def matrix_from_json_obj(obj) -> np.ndarray:
+    _require_fields(obj, "matrix", n=int, matrix=list)
     m = _matrix_from_pairs(obj["matrix"])
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if int(obj["n"]) != m.shape[0]:
+    if obj["n"] != m.shape[0]:
         raise ValueError(f"declared n={obj['n']} does not match a {m.shape} matrix")
     return m
 
 
 def kraus_to_json_obj(channel: KrausChannel) -> dict:
-    ops = []
-    for v in channel.kraus:
-        flat = v.reshape(-1)
-        ops.append([[float(x.real), float(x.imag)] for x in flat])
-    return {"n": channel.n, "kraus": ops}
+    return {"n": channel.n, "kraus": [_matrix_to_pairs(v.reshape(-1)) for v in channel.kraus]}
 
 
 def kraus_from_json_obj(obj) -> KrausChannel:
-    n = int(obj["n"])
+    _require_fields(obj, "Kraus", n=int, kraus=list)
+    n = obj["n"]
+    if n < 1:
+        raise ValueError(f"Kraus JSON 'n' must be positive, got {n}")
     ops = []
     for flat in obj["kraus"]:
-        data = np.asarray(flat, dtype=float)
+        data = _float_array(flat, "Kraus operators")
         if data.ndim != 2 or data.shape != (n * n, 2):
             raise ValueError(
                 f"each Kraus operator must be a flat row-major list of {n * n} [re, im] pairs"
@@ -113,6 +156,9 @@ def dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+_PIXEL_TEXT = np.array([str(v) for v in range(256)], dtype=object)
+
+
 def table_to_pgm_bytes(table) -> bytes:
     w = np.asarray(table, dtype=float)
     table_dimension(w)
@@ -123,5 +169,5 @@ def table_to_pgm_bytes(table) -> bytes:
         pixels = 128 + np.rint(127.0 * w / peak).astype(int)
     pixels = np.clip(pixels, 0, 255)
     lines = ["P2", f"{w.shape[1]} {w.shape[0]}", "255"]
-    lines.extend(" ".join(str(v) for v in row) for row in pixels)
+    lines.extend(" ".join(row) for row in _PIXEL_TEXT[pixels].tolist())
     return ("\n".join(lines) + "\n").encode("ascii")

@@ -88,22 +88,21 @@ def _check_point_hermiticity(n, rng):
 
 
 def _check_point_fourier_form(n, rng):
-    # quadruple-sum construction vs the closed form, exhaustively
+    # A(q, p) = (2N)^-2 sum_{lam, lam'} exp(-2 pi i (lam' q - lam p) / 2N) T(lam, lam')
+    # for every point at once: a forward FFT over lam' gives the q axis and
+    # an inverse FFT over lam the p axis, checked against the closed form
     two_n = 2 * n
-    t_stack = np.stack(
+    t_stack = np.array(
         [
-            phase_space.translation_operator(lam, lam2, n)
+            [phase_space.translation_operator(lam, lam2, n) for lam2 in range(two_n)]
             for lam in range(two_n)
-            for lam2 in range(two_n)
         ]
     )
-    lam = np.repeat(np.arange(two_n), two_n)
-    lam2 = np.tile(np.arange(two_n), two_n)
-    worst = 0.0
-    for q, p in phase_space.full_points(n):
-        phases = np.exp(-2j * np.pi * (lam2 * q - lam * p) / two_n)
-        summed = np.einsum("l,lij->ij", phases, t_stack) / (two_n**2)
-        worst = max(worst, max_abs(summed - phase_space.point_operator(q, p, n)))
+    summed = np.fft.ifft(np.fft.fft(t_stack, axis=1), axis=0) / two_n
+    worst = max(
+        max_abs(summed[p, q] - phase_space.point_operator(q, p, n))
+        for q, p in phase_space.full_points(n)
+    )
     return _residual_outcome("phase_space.point_fourier_form", worst, 1e-10)
 
 

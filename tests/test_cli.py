@@ -399,3 +399,44 @@ class TestToleranceEnv:
         assert code == 2
         assert stdout == ""
         assert err.startswith("error: DWIGNER_TOL") and err.count("\n") == 1
+
+
+KRAUS_N2_IDENTITY = [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]
+
+
+class TestMalformedJsonInput:
+    """Well-formed JSON of the wrong structure exits 2 with one error line."""
+
+    @pytest.mark.parametrize(
+        "content,args",
+        [
+            pytest.param(
+                [[0.25, 0.25], [0.25, 0.25]], ["reconstruct", "--input", "{path}"], id="table-list"
+            ),
+            pytest.param(
+                {"n": 1, "grid": "2N"}, ["reconstruct", "--input", "{path}"], id="table-no-values"
+            ),
+            pytest.param(
+                {"kraus": KRAUS_N2_IDENTITY},
+                ["channel", "--n", "2", "--state", "ket:0", "--kraus", "{path}"],
+                id="kraus-no-n",
+            ),
+            pytest.param(
+                KRAUS_N2_IDENTITY,
+                ["channel", "--n", "2", "--state", "ket:0", "--kraus", "{path}"],
+                id="kraus-list",
+            ),
+            pytest.param(
+                [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                ["wigner", "--n", "2", "--state", "file:{path}"],
+                id="state-list",
+            ),
+        ],
+    )
+    def test_exits_2_with_one_error_line(self, tmp_path, capsys, content, args):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content))
+        code, stdout, err = run([a.format(path=path) for a in args], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error:") and err.count("\n") == 1

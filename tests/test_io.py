@@ -1,7 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goldens import TABLE_N2_KET0
 from dwigner.channels import KrausChannel, stochastic_channel
@@ -18,7 +21,44 @@ from dwigner.io import (
     table_to_pgm_bytes,
 )
 from dwigner.matrix_core import max_abs
-from dwigner.sampling import random_density
+from dwigner.sampling import random_density, random_kraus_channel, random_pure_density
+from dwigner.wigner import wigner_table
+
+EVEN_N = st.integers(min_value=1, max_value=32).map(lambda k: 2 * k)
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+# magnitudes at the edges of float64: zero, subnormals, the normal limits, +-1e+-300
+EDGE_MAGNITUDES = (
+    0.0,
+    5e-324,
+    1e-310,
+    2.2250738585072014e-308,
+    1e-300,
+    1e300,
+    1.7976931348623157e308,
+)
+
+
+def per_value_csv(table) -> str:
+    """The CSV text by one ``%.17g`` call per entry: the writer's reference."""
+    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in np.asarray(table))
+
+
+@st.composite
+def repeated_magnitude_tables(draw):
+    """2k x 2k tables drawn from a few magnitudes with random signs."""
+    side = 2 * draw(st.integers(min_value=1, max_value=8))
+    pool = draw(
+        st.lists(
+            st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_MAGNITUDES),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    cells = side * side
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=cells, max_size=cells))
+    signs = draw(st.lists(st.booleans(), min_size=cells, max_size=cells))
+    values = [-pool[i] if neg else pool[i] for i, neg in zip(picks, signs)]
+    return np.array(values, dtype=float).reshape(side, side)
 
 
 class TestTableCsv:
@@ -37,6 +77,31 @@ class TestTableCsv:
             expected = "".join(",".join("%.17g" % v for v in row) + "\n" for row in table)
             assert table_to_csv_text(table) == expected
 
+    @settings(max_examples=25, deadline=None)
+    @given(n=EVEN_N, seed=SEEDS, pure=st.booleans())
+    def test_state_tables_match_per_value_formatter(self, n, seed, pure):
+        rng = np.random.default_rng(seed)
+        rho = random_pure_density(n, rng) if pure else random_density(n, rng)
+        table = wigner_table(rho)
+        assert table_to_csv_text(table) == per_value_csv(table)
+
+    def test_large_state_table_matches_per_value_formatter(self):
+        table = wigner_table(random_density(256, np.random.default_rng(11)))
+        assert table_to_csv_text(table) == per_value_csv(table)
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=repeated_magnitude_tables())
+    def test_repeated_magnitudes_match_per_value_formatter(self, table):
+        assert table_to_csv_text(table) == per_value_csv(table)
+
+    def test_edge_values_match_per_value_formatter(self):
+        edges = np.array(EDGE_MAGNITUDES)
+        values = np.concatenate([edges, -edges, [np.inf, -np.inf, np.nan, -np.nan]])
+        table = np.resize(values, (6, 6))
+        assert np.signbit(table).any() and np.isnan(table).any()
+        assert table_to_csv_text(table) == per_value_csv(table)
+        assert table_to_csv_text(table.T) == per_value_csv(table.T)
+
     def test_golden_layout(self):
         text = table_to_csv_text(TABLE_N2_KET0)
         lines = text.strip().split("\n")
@@ -52,6 +117,13 @@ class TestTableCsv:
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="finite"):
             table_from_csv_text(f"0.5,0\n0,{bad}\n")
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "# comments only\n"])
+    def test_rejects_empty_without_warning(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="2N x 2N"):
+                table_from_csv_text(text)
 
 
 class TestTableJson:
@@ -71,6 +143,27 @@ class TestTableJson:
     def test_rejects_unknown_grid(self):
         obj = table_to_json_obj(TABLE_N2_KET0)
         obj["grid"] = "N"
+        with pytest.raises(ValueError):
+            table_from_json_obj(obj)
+
+    def test_dump_matches_per_value_construction(self):
+        rng = np.random.default_rng(4)
+        for table in (wigner_table(random_density(6, rng)), rng.standard_normal((4, 4))):
+            table.flat[:2] = (-0.0, 5e-324)
+            values = [[float(v) for v in row] for row in table]
+            expected = {"n": table.shape[0] // 2, "grid": "2N", "values": values}
+            assert dump_json(table_to_json_obj(table)) == dump_json(expected)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [[0.25, 0.25], [0.25, 0.25]],
+            {"n": 1},
+            {"values": [[1.0, 0.0], [0.0, 0.0]]},
+            {"n": "1", "values": []},
+        ],
+    )
+    def test_rejects_malformed_structure(self, obj):
         with pytest.raises(ValueError):
             table_from_json_obj(obj)
 
@@ -98,6 +191,29 @@ class TestMatrixJson:
         with pytest.raises(ValueError):
             matrix_from_json_obj({"n": 2, "matrix": [[1, 2], [3, 4]]})
 
+    def test_dump_matches_per_value_construction(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 5):
+            rho = random_density(n, rng)
+            rho[0, 0] = complex(-0.0, -0.0)
+            pairs = [[[float(v.real), float(v.imag)] for v in row] for row in rho]
+            expected = {"n": n, "matrix": pairs}
+            assert dump_json(matrix_to_json_obj(rho)) == dump_json(expected)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [[[1.0, 0.0]]],
+            {"n": 1},
+            {"matrix": [[[1.0, 0.0]]]},
+            {"n": True, "matrix": [[[1.0, 0.0]]]},
+            {"n": 1, "matrix": [[{"re": 1.0}]]},
+        ],
+    )
+    def test_rejects_malformed_structure(self, obj):
+        with pytest.raises(ValueError):
+            matrix_from_json_obj(obj)
+
 
 class TestKrausJson:
     def test_roundtrip(self):
@@ -118,6 +234,29 @@ class TestKrausJson:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             kraus_from_json_obj({"n": 2, "kraus": [[[1.0, 0.0]] * 3]})
+
+    def test_dump_matches_per_value_construction(self):
+        rng = np.random.default_rng(6)
+        for n, k in ((1, 1), (2, 3), (4, 2)):
+            ch = random_kraus_channel(n, k, rng)
+            ops = [[[float(x.real), float(x.imag)] for x in v.reshape(-1)] for v in ch.kraus]
+            assert dump_json(kraus_to_json_obj(ch)) == dump_json({"n": n, "kraus": ops})
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [[[1.0, 0.0]]],
+            {"kraus": [[[1.0, 0.0]]]},
+            {"n": 1},
+            {"n": 1.0, "kraus": [[[1.0, 0.0]]]},
+            {"n": 0, "kraus": [[]]},
+            {"n": -1, "kraus": [[[1.0, 0.0]]]},
+            {"n": 1, "kraus": "op"},
+        ],
+    )
+    def test_rejects_malformed_structure(self, obj):
+        with pytest.raises(ValueError):
+            kraus_from_json_obj(obj)
 
 
 class TestPgm:
@@ -146,3 +285,16 @@ class TestPgm:
         rng = np.random.default_rng(5)
         table = rng.standard_normal((4, 4))
         assert table_to_pgm_bytes(table) == table_to_pgm_bytes(table.copy())
+
+    def test_matches_per_pixel_join(self):
+        rng = np.random.default_rng(7)
+        state = wigner_table(random_density(8, rng))
+        for table in (state, rng.standard_normal((6, 6)), np.zeros((2, 2))):
+            peak = np.max(np.abs(table))
+            if peak == 0:
+                pixels = np.full(table.shape, 128)
+            else:
+                pixels = 128 + np.rint(127.0 * table / peak).astype(int)
+            lines = ["P2", f"{table.shape[1]} {table.shape[0]}", "255"]
+            lines.extend(" ".join(str(v) for v in row) for row in np.clip(pixels, 0, 255))
+            assert table_to_pgm_bytes(table) == ("\n".join(lines) + "\n").encode("ascii")
