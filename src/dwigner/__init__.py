@@ -3,162 +3,49 @@
 The package builds the finite clock/shift algebra, phase-point operators,
 Wigner tables of density operators, state reconstruction, lattice-line
 marginals, and Kraus-channel evolution in phase space, all in plain numpy.
+
+The names below are the library API listed in the README; every other
+name stays importable from its submodule.
 """
 
 from .channels import (
-    InvalidChannelError,
     KrausChannel,
     PhasePropagator,
     adjoint_form_report,
-    apply_channel,
     channel_wigner,
-    depolarizing_channel,
-    fano_sqrt_decomposition,
-    fourier_conjugate_channel,
-    identity_channel,
-    point_sqrt_factor,
     stochastic_channel,
     unitary_propagator,
 )
-from .matrix_core import (
-    DimMismatchError,
-    EigenDecomposition,
-    NotHermitianError,
-    NotUnitaryError,
-    hermitian_eig,
-    is_hermitian,
-    is_unitary,
-    max_abs,
-    periodic_delta,
-    trace_product,
-    validate_density,
-    validate_unitary,
-)
-from .phase_space import (
-    EmptyLineWarning,
-    PhaseLine,
-    core_points,
-    fourier_matrix,
-    full_points,
-    gamma_kernel,
-    gamma_tensor,
-    line_points,
-    line_projector,
-    momentum_shift,
-    point_index,
-    point_operator,
-    point_operator_stack,
-    position_shift,
-    reflection_operator,
-    translation_operator,
-)
-from .weyl import (
-    WeylConfig,
-    clock_operator,
-    shift_operator,
-    symplectic_form,
-    weyl_expand,
-    weyl_operator,
-    weyl_synthesize,
-)
+from .phase_space import fourier_matrix
 from .wigner import (
-    DegenerateSuperpositionError,
-    InconsistentTableError,
-    NonHermitianResultError,
-    NotNormalizedError,
-    OddDimensionError,
     basis_state,
     density_from_state,
-    extend_by_symmetry,
     marginal_momentum,
     marginal_position,
-    momentum_distribution,
     purity_residual,
     reconstruct,
-    restrict_to_core,
-    superposition_cross_term,
     superposition_state,
-    symmetry_residual,
-    table_dimension,
-    table_overlap,
     w_transform,
-    wigner_pure_position,
-    wigner_superposition,
     wigner_table,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DegenerateSuperpositionError",
-    "DimMismatchError",
-    "EigenDecomposition",
-    "EmptyLineWarning",
-    "InconsistentTableError",
-    "InvalidChannelError",
     "KrausChannel",
-    "NonHermitianResultError",
-    "NotHermitianError",
-    "NotNormalizedError",
-    "NotUnitaryError",
-    "OddDimensionError",
-    "PhaseLine",
     "PhasePropagator",
-    "WeylConfig",
     "adjoint_form_report",
-    "apply_channel",
     "basis_state",
     "channel_wigner",
-    "clock_operator",
-    "core_points",
     "density_from_state",
-    "depolarizing_channel",
-    "extend_by_symmetry",
-    "fano_sqrt_decomposition",
-    "fourier_conjugate_channel",
     "fourier_matrix",
-    "full_points",
-    "gamma_kernel",
-    "gamma_tensor",
-    "hermitian_eig",
-    "identity_channel",
-    "is_hermitian",
-    "is_unitary",
-    "line_points",
-    "line_projector",
     "marginal_momentum",
     "marginal_position",
-    "max_abs",
-    "momentum_distribution",
-    "momentum_shift",
-    "periodic_delta",
-    "point_index",
-    "point_operator",
-    "point_operator_stack",
-    "point_sqrt_factor",
-    "position_shift",
     "purity_residual",
     "reconstruct",
-    "reflection_operator",
-    "restrict_to_core",
-    "shift_operator",
     "stochastic_channel",
-    "superposition_cross_term",
     "superposition_state",
-    "symmetry_residual",
-    "symplectic_form",
-    "table_dimension",
-    "table_overlap",
-    "trace_product",
-    "translation_operator",
     "unitary_propagator",
-    "validate_density",
-    "validate_unitary",
     "w_transform",
-    "weyl_expand",
-    "weyl_operator",
-    "weyl_synthesize",
-    "wigner_pure_position",
-    "wigner_superposition",
     "wigner_table",
 ]

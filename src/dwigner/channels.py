@@ -34,7 +34,7 @@ from .matrix_core import (
     max_abs,
     validate_unitary,
 )
-from .phase_space import _point_stack_full, point_operator
+from .phase_space import _point_entries, _point_stack_full, _roots, point_operator
 from .wigner import (
     NonHermitianResultError,
     _core_inverse,
@@ -240,23 +240,6 @@ def fano_sqrt_decomposition(
     return [s @ v for v in channel.kraus], s
 
 
-def _doubled_point_entries(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Monomial entries of B = 2N A(q, p) at all 4N^2 lattice points.
-
-    Column m of B(q, p) holds its one nonzero in row (q - m) mod N, with
-    value exp(i*pi*p*(q - 2m)/N).  Returns ``rows[q, m]`` and
-    ``values[q, p, m]``, q and p on the full lattice in row-major order.
-    """
-    k = np.arange(2 * n)
-    m = np.arange(n)
-    rows = (k[:, None] - m) % n
-    half = np.exp(1j * np.pi * m / n)
-    roots = np.concatenate([half, -half])
-    # exponent p * (q - 2m) mod 2N, indexed [q, p, m]
-    exponents = (k[None, :, None] * (k[:, None, None] - 2 * m)) % (2 * n)
-    return rows, roots[exponents]
-
-
 def adjoint_form_report(channel: KrausChannel, rho, psd_tol: float = 1e-12) -> list[dict]:
     """Per-grid-point comparison of the two decomposition identities.
 
@@ -277,7 +260,10 @@ def adjoint_form_report(channel: KrausChannel, rho, psd_tol: float = 1e-12) -> l
     """
     n = channel.n
     out_rho = apply_channel(channel, rho)
-    rows, values = _doubled_point_entries(n)
+    k = np.arange(2 * n)
+    # column m of B(q, p) holds values[q, p, m] in row rows[q, m]
+    rows, exponents = _point_entries(k[:, None], k, n)
+    rows, values = rows[:, 0], _roots(n)[exponents]
     m = np.arange(n)
     # tr(B Lambda) = sum_m B[row_m, m] Lambda[m, row_m]
     tr_b = np.einsum("qpm,qm->qp", values, out_rho[m, rows])

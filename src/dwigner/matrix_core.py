@@ -64,19 +64,8 @@ def is_unitary(u, tol: float = TOL_ALGEBRAIC) -> bool:
     return max_abs(adjoint(m) @ m - np.eye(m.shape[0])) <= tol
 
 
-def periodic_delta(q: int, n: int) -> float:
-    """Periodic Kronecker delta: 1.0 when q = 0 (mod n), else 0.0."""
-    if n < 1:
-        raise ValueError(f"period must be positive, got {n}")
-    return 1.0 if q % n == 0 else 0.0
-
-
 def trace_product(mats: Sequence[np.ndarray]) -> complex:
-    """Trace of the left-to-right product of square matrices.
-
-    The diagonal is accumulated in index order so that results are
-    bit-reproducible for a fixed argument list.
-    """
+    """Trace of the left-to-right product of square matrices."""
     if len(mats) == 0:
         raise ValueError("trace_product needs at least one matrix")
     ms = [as_complex_matrix(m) for m in mats]
@@ -87,10 +76,7 @@ def trace_product(mats: Sequence[np.ndarray]) -> complex:
     prod = ms[0]
     for m in ms[1:]:
         prod = prod @ m
-    total = 0.0 + 0.0j
-    for k in range(dim):
-        total += prod[k, k]
-    return complex(total)
+    return complex(np.trace(prod))
 
 
 class EigenDecomposition(NamedTuple):

@@ -4,7 +4,9 @@ Conventions used throughout the package:
 
 * The position shift U acts as U^m |n> = |n+m mod N>; the momentum shift V
   is diagonal, V^m |n> = exp(2*pi*i*m*n/N) |n>.  They satisfy
-  V^p U^q = exp(2*pi*i*p*q/N) U^q V^p.
+  V^p U^q = exp(2*pi*i*p*q/N) U^q V^p.  :mod:`dwigner.weyl` names the
+  same pair the other way round: its clock operator is V and its shift
+  operator is U, each times a constant phase set by ``WeylConfig``.
 * The Fourier matrix F has entries exp(2*pi*i*n*k/N)/sqrt(N); its columns
   are the momentum basis, and F^2 equals the reflection R |n> = |-n mod N>.
 * A phase-space point is a pair (q, p) of integers mod 2N.  Tables and
@@ -15,9 +17,16 @@ Conventions used throughout the package:
 
       A(alpha) = (1/2N) U^q R V^{-p} exp(i*pi*p*q/N),
 
-  a Hermitian matrix.  Phase exponents are reduced mod 2N as exact
-  integers before exponentiation, so identities such as
-  T(lam*q, lam*p) = T(q, p)^lam hold to machine precision.
+  a Hermitian matrix.
+
+Every one of U, V, R, T and A is a monomial matrix: column m holds one
+nonzero entry, a root exp(i*pi*k/N) in a single row.  They are all built
+by one scatter from that row and the exponent k, reduced mod 2N as an
+exact integer, so identities such as T(lam*q, lam*p) = T(q, p)^lam hold to
+machine precision.  Column m of T(q, p) holds exp(i*pi*p*(2m + q)/N) in row
+(q + m) mod N; column m of 2N A(q, p) holds exp(i*pi*p*(q - 2m)/N) in row
+(q - m) mod N.  ``translation_operator`` and ``point_operator`` accept
+integer arrays for q and p and then return the stack of operators.
 
 Lines are solution sets of n1*p - n2*q = n3 (mod 2N); summing the point
 operators along a line yields a projection operator.
@@ -31,35 +40,65 @@ from functools import lru_cache
 
 import numpy as np
 
-from .matrix_core import trace_product
-
 
 class EmptyLineWarning(UserWarning):
     """A line congruence with no solutions on the lattice."""
 
 
+@lru_cache(maxsize=16)
+def _roots(n: int) -> np.ndarray:
+    """exp(i*pi*k/N) for 0 <= k < 2N, read-only.
+
+    The upper half is the exact negative of the lower half, so operators
+    and tables built from it obey the sign rules bit for bit.
+    """
+    half = np.exp(1j * np.pi * np.arange(n) / n)
+    roots = np.concatenate([half, -half])
+    roots.flags.writeable = False
+    return roots
+
+
+def _monomial(rows, exponents, n: int, scale: float = 1.0) -> np.ndarray:
+    """Dense N x N matrices whose column m holds scale * exp(i*pi*k/N) in one row.
+
+    ``rows`` and ``exponents`` (integers, k taken mod 2N) end in an axis over
+    m; their leading axes broadcast and index the returned stack.
+    """
+    rows, exponents = np.broadcast_arrays(rows, exponents)
+    out = np.zeros(rows.shape[:-1] + (n, n), dtype=complex)
+    values = scale * _roots(n)[exponents % (2 * n)]
+    np.put_along_axis(out, rows[..., None, :], values[..., None, :], axis=-2)
+    return out
+
+
+def _reduced(k, n: int) -> np.ndarray:
+    """Integer indices mod 2N as int64 with a trailing axis for m.
+
+    Reducing first keeps later products exact in fixed-width integers and
+    accepts Python integers of any size.
+    """
+    return np.asarray(np.asarray(k) % (2 * n), dtype=np.int64)[..., None]
+
+
+def _point_entries(q, p, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and root exponent of column m of 2N A(q, p), with a trailing m axis.
+
+    Column m holds exp(i*pi*p*(q - 2m)/N) in row (q - m) mod N; q and p
+    broadcast.
+    """
+    q, p = _reduced(q, n), _reduced(p, n)
+    m = np.arange(n)
+    return (q - m) % n, (p * (q - 2 * m)) % (2 * n)
+
+
 def position_shift(n: int) -> np.ndarray:
     """One-step position shift U: |l> -> |l+1 mod N>."""
-    return _shift_power(n, 1)
+    return translation_operator(1, 0, n)
 
 
 def momentum_shift(n: int) -> np.ndarray:
     """One-step momentum shift V: diagonal with entries exp(2*pi*i*l/N)."""
-    return _clock_power(n, 1)
-
-
-def _shift_power(n: int, m: int) -> np.ndarray:
-    # U^m, built directly from its action; exact for any integer m.
-    u = np.zeros((n, n), dtype=complex)
-    for l in range(n):
-        u[(l + m) % n, l] = 1.0
-    return u
-
-
-def _clock_power(n: int, m: int) -> np.ndarray:
-    # V^m = diag(exp(2*pi*i*m*l/N)); reduce m*l mod N to keep angles exact.
-    l = np.arange(n)
-    return np.diag(np.exp(2j * np.pi * ((m * l) % n) / n))
+    return translation_operator(0, 1, n)
 
 
 def fourier_matrix(n: int) -> np.ndarray:
@@ -72,29 +111,23 @@ def fourier_matrix(n: int) -> np.ndarray:
 
 def reflection_operator(n: int) -> np.ndarray:
     """Reflection R: |l> -> |-l mod N>; equals the square of the Fourier matrix."""
-    r = np.zeros((n, n), dtype=complex)
-    for l in range(n):
-        r[(-l) % n, l] = 1.0
-    return r
+    # R = 2N A(0, 0)
+    return _monomial(*_point_entries(0, 0, n), n)
 
 
-def translation_operator(q: int, p: int, n: int) -> np.ndarray:
+def translation_operator(q, p, n: int) -> np.ndarray:
     """T(q, p) = U^q V^p exp(i*pi*q*p/N) for arbitrary integers q, p."""
-    k = (q * p) % (2 * n)
-    phase = np.exp(1j * np.pi * k / n)
-    return phase * (_shift_power(n, q) @ _clock_power(n, p))
+    q, p = _reduced(q, n), _reduced(p, n)
+    m = np.arange(n)
+    return _monomial((q + m) % n, p * (2 * m + q), n)
 
 
-def point_operator(q: int, p: int, n: int) -> np.ndarray:
+def point_operator(q, p, n: int) -> np.ndarray:
     """Phase-point operator A(q, p) = (1/2N) U^q R V^{-p} exp(i*pi*p*q/N).
 
     Hermitian for every lattice point; (q, p) is taken mod 2N.
     """
-    k = (p * q) % (2 * n)
-    phase = np.exp(1j * np.pi * k / n)
-    return (phase / (2 * n)) * (
-        _shift_power(n, q % (2 * n)) @ reflection_operator(n) @ _clock_power(n, -(p % (2 * n)))
-    )
+    return _monomial(*_point_entries(q, p, n), n, 1 / (2 * n))
 
 
 def core_points(n: int) -> list[tuple[int, int]]:
@@ -112,21 +145,25 @@ def point_index(q: int, p: int, n: int) -> int:
     return (q % (2 * n)) * (2 * n) + (p % (2 * n))
 
 
+def _point_stack(n: int, side: int) -> np.ndarray:
+    # one scatter for the side x side points (q, p) in row-major order
+    q, p = np.indices((side, side)).reshape(2, -1)
+    stack = point_operator(q, p, n)
+    stack.flags.writeable = False
+    return stack
+
+
 # The dense stacks hold 4N^2 * N^2 (or N^4) complex entries.  Only a
 # propagator's kernel ``z`` and the reference oracles use them; a small
 # bound keeps a process that sweeps N from pinning every stack it built.
 @lru_cache(maxsize=4)
 def _point_stack_full(n: int) -> np.ndarray:
-    stack = np.stack([point_operator(q, p, n) for q, p in full_points(n)])
-    stack.flags.writeable = False
-    return stack
+    return _point_stack(n, 2 * n)
 
 
 @lru_cache(maxsize=4)
 def _point_stack_core(n: int) -> np.ndarray:
-    stack = np.stack([point_operator(q, p, n) for q, p in core_points(n)])
-    stack.flags.writeable = False
-    return stack
+    return _point_stack(n, n)
 
 
 def point_operator_stack(n: int, grid: str = "full") -> np.ndarray:
@@ -140,33 +177,6 @@ def point_operator_stack(n: int, grid: str = "full") -> np.ndarray:
     if grid == "core":
         return _point_stack_core(n).copy()
     raise ValueError(f"grid must be 'full' or 'core', got {grid!r}")
-
-
-def gamma_kernel(
-    alpha: tuple[int, int], beta: tuple[int, int], gamma: tuple[int, int], n: int
-) -> complex:
-    """Three-point kernel tr(A(alpha) A(beta) A(gamma)).
-
-    Evaluated as a trace product; invariant under cyclic rotation of the
-    three points.
-    """
-    return trace_product(
-        [
-            point_operator(alpha[0], alpha[1], n),
-            point_operator(beta[0], beta[1], n),
-            point_operator(gamma[0], gamma[1], n),
-        ]
-    )
-
-
-def gamma_tensor(n: int) -> np.ndarray:
-    """All kernel values Gamma[a, b, c] with a on the full lattice and b, c
-    on the core, flat indices in row-major grid order.  Shape (4N^2, N^2, N^2).
-    """
-    full = _point_stack_full(n)
-    core = _point_stack_core(n)
-    pairs = np.einsum("bij,cjk->bcik", core, core)
-    return np.einsum("aij,bcji->abc", full, pairs)
 
 
 @dataclass(frozen=True)
@@ -211,7 +221,5 @@ def line_projector(line: PhaseLine) -> np.ndarray:
     The result is a Hermitian projector onto a span of eigenvectors of the
     translation operator T(n1, n2); the zero matrix for empty lines.
     """
-    out = np.zeros((line.n, line.n), dtype=complex)
-    for q, p in line_points(line):
-        out += point_operator(q, p, line.n)
-    return out
+    q, p = np.array(line_points(line), dtype=int).reshape(-1, 2).T
+    return point_operator(q, p, line.n).sum(axis=0)

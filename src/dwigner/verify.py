@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import channels, phase_space, sampling, weyl, wigner
+from . import channels, phase_space, reference, sampling, weyl, wigner
 from .matrix_core import adjoint, max_abs, trace_product
 
 
@@ -32,26 +32,29 @@ def _residual_outcome(name: str, residual: float, tol: float) -> CheckOutcome:
     )
 
 
+def _powers(m, count):
+    """m^0 .. m^(count-1) by repeated multiplication, stacked."""
+    out = [np.eye(m.shape[0], dtype=complex)]
+    for _ in range(count - 1):
+        out.append(out[-1] @ m)
+    return np.stack(out)
+
+
 def _check_weyl_commutation(n, rng):
     worst = 0.0
+    k = np.arange(n)
+    phases = np.exp(2j * np.pi * np.outer(k, k) / n)[..., None, None]
     for cfg in (weyl.WeylConfig(n), weyl.WeylConfig(n, alpha_u=0.3, alpha_v=0.7)):
-        u = weyl.clock_operator(cfg)
-        v = weyl.shift_operator(cfg)
-        for n1 in range(n):
-            for n2 in range(n):
-                lhs = np.linalg.matrix_power(u, n1) @ np.linalg.matrix_power(v, n2)
-                rhs = np.exp(2j * np.pi * n1 * n2 / n) * (
-                    np.linalg.matrix_power(v, n2) @ np.linalg.matrix_power(u, n1)
-                )
-                worst = max(worst, max_abs(lhs - rhs))
+        # U^n1 V^n2 against V^n2 U^n1 for all pairs, indexed [n1, n2]
+        us = _powers(weyl.clock_operator(cfg), n)[:, None]
+        vs = _powers(weyl.shift_operator(cfg), n)[None, :]
+        worst = max(worst, max_abs(us @ vs - phases * (vs @ us)))
     return _residual_outcome("weyl.commutation", worst, 1e-12)
 
 
 def _check_weyl_orthogonality(n, rng):
-    cfg = weyl.WeylConfig(n)
-    flat = np.stack(
-        [weyl.weyl_operator(cfg, a, b) for a in range(n) for b in range(n)]
-    ).reshape(n * n, n * n)
+    k = np.arange(n)
+    flat = weyl.weyl_operator(weyl.WeylConfig(n), k[:, None], k).reshape(n * n, n * n)
     # Gram matrix G[a, b] = tr(W_a* W_b) of all pairs in one product
     gram = flat.conj() @ flat.T
     return _residual_outcome("weyl.orthogonality", max_abs(gram - n * np.eye(n * n)), 1e-12)
@@ -59,16 +62,9 @@ def _check_weyl_orthogonality(n, rng):
 
 def _check_weyl_adjoint(n, rng):
     cfg = weyl.WeylConfig(n)
-    worst = 0.0
-    for n1 in range(n):
-        for n2 in range(n):
-            worst = max(
-                worst,
-                max_abs(
-                    adjoint(weyl.weyl_operator(cfg, n1, n2))
-                    - weyl.weyl_operator(cfg, -n1, -n2)
-                ),
-            )
+    k = np.arange(n)
+    ops = weyl.weyl_operator(cfg, k[:, None], k)
+    worst = max_abs(ops.conj().swapaxes(-1, -2) - weyl.weyl_operator(cfg, -k[:, None], -k))
     return _residual_outcome("weyl.adjoint", worst, 1e-12)
 
 
@@ -80,10 +76,8 @@ def _check_weyl_roundtrip(n, rng):
 
 
 def _check_point_hermiticity(n, rng):
-    worst = 0.0
-    for q, p in phase_space.full_points(n):
-        a = phase_space.point_operator(q, p, n)
-        worst = max(worst, max_abs(a - adjoint(a)))
+    stack = phase_space.point_operator_stack(n)
+    worst = max_abs(stack - stack.conj().swapaxes(-1, -2))
     return _residual_outcome("phase_space.point_hermiticity", worst, 1e-12)
 
 
@@ -91,18 +85,12 @@ def _check_point_fourier_form(n, rng):
     # A(q, p) = (2N)^-2 sum_{lam, lam'} exp(-2 pi i (lam' q - lam p) / 2N) T(lam, lam')
     # for every point at once: a forward FFT over lam' gives the q axis and
     # an inverse FFT over lam the p axis, checked against the closed form
-    two_n = 2 * n
-    t_stack = np.array(
-        [
-            [phase_space.translation_operator(lam, lam2, n) for lam2 in range(two_n)]
-            for lam in range(two_n)
-        ]
-    )
-    summed = np.fft.ifft(np.fft.fft(t_stack, axis=1), axis=0) / two_n
-    worst = max(
-        max_abs(summed[p, q] - phase_space.point_operator(q, p, n))
-        for q, p in phase_space.full_points(n)
-    )
+    lam = np.arange(2 * n)
+    t_stack = phase_space.translation_operator(lam[:, None], lam, n)
+    summed = np.fft.ifft(np.fft.fft(t_stack, axis=1), axis=0) / (2 * n)
+    # summed is indexed [p, q]; the stack runs over (q, p) in row-major order
+    stack = phase_space.point_operator_stack(n)
+    worst = max_abs(summed.swapaxes(0, 1).reshape(stack.shape) - stack)
     return _residual_outcome("phase_space.point_fourier_form", worst, 1e-10)
 
 
@@ -168,12 +156,10 @@ def _check_line_projectors(n, rng):
 
 
 def _check_table_realness(n, rng):
-    stack = phase_space.point_operator_stack(n)
     worst = 0.0
     for _ in range(5):
         rho = sampling.random_density(n, rng)
-        values = np.einsum("aij,ji->a", stack, rho)
-        worst = max(worst, max_abs(values.imag))
+        worst = max(worst, max_abs(reference.table_values(rho).imag))
     return _residual_outcome("wigner.table_realness", worst, 1e-12)
 
 
@@ -181,13 +167,7 @@ def _check_lemma_vs_trace(n, rng):
     worst = 0.0
     for _ in range(5):
         rho = sampling.random_density(n, rng)
-        worst = max(
-            worst,
-            max_abs(
-                wigner.wigner_table(rho, method="trace")
-                - wigner.wigner_table(rho, method="lemma")
-            ),
-        )
+        worst = max(worst, max_abs(reference.table_values(rho) - wigner.wigner_table(rho)))
     return _residual_outcome("wigner.lemma_vs_trace", worst, 1e-10)
 
 
@@ -284,8 +264,8 @@ def _check_reconstruction(n, rng):
     for _ in range(10):
         rho = sampling.random_density(n, rng)
         w = wigner.wigner_table(rho)
-        via_core = wigner.reconstruct(w, formula="core")
-        via_full = wigner.reconstruct(w, formula="full")
+        via_core = wigner.reconstruct(w)
+        via_full = reference.reconstruct_full(w)
         worst = max(worst, max_abs(via_core - via_full))
         worst = max(worst, max_abs(via_core - rho))
         worst = max(worst, max_abs(wigner.wigner_table(via_core) - w))

@@ -2,12 +2,18 @@
 
 The clock operator U is diagonal with entries exp(2*pi*i*(alpha_u + k)/N);
 the shift operator V maps |l> to exp(2*pi*i*alpha_v/N) |l+1 mod N>.  They
-obey U^a V^b = exp(2*pi*i*a*b/N) V^b U^a, an orientation this module's
-tests confirm by brute-force multiplication.
+are the momentum shift and the position shift of
+:mod:`dwigner.phase_space` (which names them the other way round) times
+constant phases, and obey U^a V^b = exp(2*pi*i*a*b/N) V^b U^a, an
+orientation this module's tests confirm by brute-force multiplication.
 
 The Weyl operator attached to an integer pair (n1, n2) is
 
-    W(n1, n2) = exp(-i*pi*n1*n2/N) U^n1 V^n2.
+    W(n1, n2) = exp(-i*pi*n1*n2/N) U^n1 V^n2
+              = exp(2*pi*i*(alpha_u*n1 + alpha_v*n2)/N) T(n2, n1),
+
+with T the translation operator of :mod:`dwigner.phase_space`, a
+monomial matrix built in closed form from exact integer exponents.
 
 Indices are deliberately NOT reduced mod N here: the family is projective,
 and reducing an index can flip the sign of the operator.  Exact-integer
@@ -23,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import DimMismatchError, adjoint, as_complex_matrix
+from .matrix_core import DimMismatchError, as_complex_matrix
+from .phase_space import momentum_shift, position_shift, translation_operator
 
 
 @dataclass(frozen=True)
@@ -45,28 +52,12 @@ class WeylConfig:
 
 def clock_operator(cfg: WeylConfig) -> np.ndarray:
     """Diagonal clock unitary: entry exp(2*pi*i*(alpha_u + k)/N) at (k, k)."""
-    k = np.arange(cfg.n)
-    return np.diag(np.exp(2j * np.pi * (cfg.alpha_u + k) / cfg.n))
+    return np.exp(2j * np.pi * cfg.alpha_u / cfg.n) * momentum_shift(cfg.n)
 
 
 def shift_operator(cfg: WeylConfig) -> np.ndarray:
     """Cyclic shift unitary: |l> -> exp(2*pi*i*alpha_v/N) |l+1 mod N>."""
-    n = cfg.n
-    v = np.zeros((n, n), dtype=complex)
-    phase = np.exp(2j * np.pi * cfg.alpha_v / n)
-    for l in range(n):
-        v[(l + 1) % n, l] = phase
-    return v
-
-
-def _int_power(u: np.ndarray, k: int) -> np.ndarray:
-    # Repeated multiplication keeps roots of unity exact at these sizes;
-    # negative powers use the adjoint since u is unitary.
-    base = u if k >= 0 else adjoint(u)
-    out = np.eye(u.shape[0], dtype=complex)
-    for _ in range(abs(k)):
-        out = out @ base
-    return out
+    return np.exp(2j * np.pi * cfg.alpha_v / cfg.n) * position_shift(cfg.n)
 
 
 def symplectic_form(n: tuple[int, int], m: tuple[int, int]) -> int:
@@ -74,12 +65,24 @@ def symplectic_form(n: tuple[int, int], m: tuple[int, int]) -> int:
     return n[0] * m[1] - n[1] * m[0]
 
 
-def weyl_operator(cfg: WeylConfig, n1: int, n2: int) -> np.ndarray:
-    """W(n1, n2) = exp(-i*pi*n1*n2/N) U^n1 V^n2 for arbitrary integers."""
-    # exp(-i*pi*x/N) has period 2N in x, so reduce the exponent exactly.
-    k = (n1 * n2) % (2 * cfg.n)
-    phase = np.exp(-1j * np.pi * k / cfg.n)
-    return phase * (_int_power(clock_operator(cfg), n1) @ _int_power(shift_operator(cfg), n2))
+def weyl_operator(cfg: WeylConfig, n1, n2) -> np.ndarray:
+    """W(n1, n2) = exp(-i*pi*n1*n2/N) U^n1 V^n2 for arbitrary integers.
+
+    ``n1`` and ``n2`` may be integer arrays of one shape; the result then
+    stacks the operators along their leading axes.
+    """
+    n1, n2 = np.asarray(n1), np.asarray(n2)
+    phase = np.exp(2j * np.pi * (cfg.alpha_u * n1 + cfg.alpha_v * n2) / cfg.n)
+    return phase[..., None, None] * translation_operator(n2, n1, cfg.n)
+
+
+def _weyl_basis(cfg: WeylConfig) -> np.ndarray:
+    """W(n1, n2) for 0 <= n1, n2 < N, flattened to an (N^2, N^2) array.
+
+    Row n1*N + n2 holds the row-major entries of W(n1, n2).
+    """
+    k = np.arange(cfg.n)
+    return weyl_operator(cfg, k[:, None], k).reshape(cfg.n**2, cfg.n**2)
 
 
 def weyl_expand(cfg: WeylConfig, a) -> np.ndarray:
@@ -87,12 +90,8 @@ def weyl_expand(cfg: WeylConfig, a) -> np.ndarray:
     m = as_complex_matrix(a)
     if m.shape != (cfg.n, cfg.n):
         raise DimMismatchError(f"expected a {cfg.n}x{cfg.n} matrix, got shape {m.shape}")
-    coeffs = np.empty((cfg.n, cfg.n), dtype=complex)
-    for n1 in range(cfg.n):
-        for n2 in range(cfg.n):
-            w = weyl_operator(cfg, n1, n2)
-            coeffs[n1, n2] = np.trace(adjoint(w) @ m) / cfg.n
-    return coeffs
+    # tr(W* A) = sum_ij conj(W[i, j]) A[i, j]
+    return (_weyl_basis(cfg).conj() @ m.reshape(-1)).reshape(cfg.n, cfg.n) / cfg.n
 
 
 def weyl_synthesize(cfg: WeylConfig, coeffs) -> np.ndarray:
@@ -100,8 +99,4 @@ def weyl_synthesize(cfg: WeylConfig, coeffs) -> np.ndarray:
     c = np.asarray(coeffs, dtype=complex)
     if c.shape != (cfg.n, cfg.n):
         raise DimMismatchError(f"expected a {cfg.n}x{cfg.n} coefficient table, got {c.shape}")
-    out = np.zeros((cfg.n, cfg.n), dtype=complex)
-    for n1 in range(cfg.n):
-        for n2 in range(cfg.n):
-            out += c[n1, n2] * weyl_operator(cfg, n1, n2)
-    return out
+    return (c.reshape(-1) @ _weyl_basis(cfg)).reshape(cfg.n, cfg.n)

@@ -20,13 +20,14 @@ row (q - m) mod N.  The trace therefore collapses to the matrix-element sum
     W[q, p] = (1/2N) exp(-i*pi*p*q/N) sum_m rho[(q - m) mod N, m] exp(2*pi*i*p*m/N),
 
 which for each row q is a length-N inverse DFT of a wrapped diagonal of
-rho, periodic in p with period N.  This is the production evaluation
-(``method="lemma"``): a table costs O(N^2 log N) time and O(N^2) memory.
-``reconstruct`` inverts it exactly on the N x N core, one forward DFT per
-row, and ``purity_residual`` compares a table with the table of the
-square of that inverse.  The trace against the dense point-operator stack
-(``method="trace"``, ``formula="full"``) and the three-point kernel Gamma
-are kept only as independent oracles for the tests and ``verify``.
+rho, periodic in p with period N.  ``wigner_table`` evaluates it that way,
+in O(N^2 log N) time and O(N^2) memory; the rows and phase roots come from
+the monomial entries of :mod:`dwigner.phase_space`.  ``reconstruct``
+inverts it exactly on the N x N core, one forward DFT per row, and
+``purity_residual`` compares a table with the table of the square of that
+inverse.  The trace against the dense point-operator stack, the sum over
+the full lattice and the three-point kernel Gamma are independent oracles
+for the tests and ``verify``, in :mod:`dwigner.reference`.
 """
 
 from __future__ import annotations
@@ -36,15 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .matrix_core import as_complex_matrix, max_abs
-from .phase_space import (
-    _point_stack_full,
-    fourier_matrix,
-    point_operator,
-)
-
-# Prefactor 16*N^2 of the Gamma-kernel form of the purity constraint; only
-# the brute-force oracle in the tests evaluates that form.
-PURITY_PREFACTOR_SCALE = 16
+from .phase_space import _point_entries, _roots, fourier_matrix, point_operator
 
 
 class OddDimensionError(ValueError):
@@ -80,15 +73,11 @@ def table_dimension(table) -> int:
     return w.shape[0] // 2
 
 
-def wigner_table(rho, method: str = "lemma", imag_tol: float = 1e-10) -> np.ndarray:
+def wigner_table(rho, imag_tol: float = 1e-10) -> np.ndarray:
     """Wigner table of a density operator (or any Hermitian matrix).
 
-    ``method`` selects the evaluation path: ``"lemma"`` evaluates the
-    matrix-element sum by one FFT per row, ``"trace"`` contracts rho with
-    the dense stack of point operators.  Both agree to roundoff; the trace
-    path is the reference oracle and needs O(N^4) memory.
-
-    Raises OddDimensionError for odd N and NonHermitianResultError if the
+    Evaluates the matrix-element sum by one FFT per row.  Raises
+    OddDimensionError for odd N and NonHermitianResultError if the
     imaginary residue of the evaluation exceeds ``imag_tol`` (which signals
     a non-Hermitian input or an operator bug upstream).
     """
@@ -97,12 +86,7 @@ def wigner_table(rho, method: str = "lemma", imag_tol: float = 1e-10) -> np.ndar
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     n = m.shape[0]
     _require_even(n)
-    if method == "trace":
-        values = np.einsum("aij,ji->a", _point_stack_full(n), m).reshape(2 * n, 2 * n)
-    elif method == "lemma":
-        values = _table_lemma(m)
-    else:
-        raise ValueError(f"method must be 'trace' or 'lemma', got {method!r}")
+    values = _table_lemma(m)
     residue = max_abs(values.imag)
     if residue > imag_tol:
         raise NonHermitianResultError(
@@ -122,8 +106,9 @@ def _lattice_phases(n: int, size: int, sign: int) -> np.ndarray:
     below N, so tables obey the core-extension sign rule bit for bit.
     """
     k = np.arange(size)
-    half = np.exp(sign * 1j * np.pi * np.arange(n) / n)
-    phases = np.concatenate([half, -half])[np.outer(k, k) % (2 * n)]
+    phases = _roots(n)[np.outer(k, k) % (2 * n)]
+    if sign < 0:
+        phases = phases.conj()
     phases.flags.writeable = False
     return phases
 
@@ -132,7 +117,7 @@ def _lattice_phases(n: int, size: int, sign: int) -> np.ndarray:
 def _wrap_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Index pair selecting wrapped[q, m] = rho[(q - m) mod N, m] for 0 <= q, m < N."""
     m = np.arange(n)
-    rows = (m[:, None] - m) % n
+    rows, _ = _point_entries(m, 0, n)
     rows.flags.writeable = False
     m.flags.writeable = False
     return rows, m
@@ -232,7 +217,14 @@ def wigner_superposition(q0: int, q1: int, phi: float, n: int) -> np.ndarray:
 def superposition_cross_term(
     a: complex, b: complex, q: int, p: int, n: int, q0: int = 0, q1: int = 1
 ) -> float:
-    """Interference contribution 2*Re(a*conj(b)*<q1|A(q,p)|q0>) of a|q0>+b|q1>."""
+    """Interference contribution 2*Re(a*conj(b)*<q1|A(q,p)|q0>) of a|q0>+b|q1>.
+
+    The basis indices are validated as in ``wigner_superposition``.
+    """
+    if q0 == q1:
+        raise DegenerateSuperpositionError(f"superposition indices coincide: {q0}")
+    if not (0 <= q0 < n and 0 <= q1 < n):
+        raise IndexError(f"basis indices ({q0}, {q1}) out of range for dimension {n}")
     if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-12:
         raise NotNormalizedError(
             f"amplitudes not normalized: |a|^2+|b|^2 = {abs(a)**2 + abs(b)**2:.15g}"
@@ -290,16 +282,14 @@ def _fold_to_core(table: np.ndarray) -> np.ndarray:
     return (table.reshape(2, n, 2, n) * _quadrant_signs(n)).sum(axis=(0, 2)) / 4
 
 
-def reconstruct(table, formula: str = "core", symmetry_tol: float = 1e-8) -> np.ndarray:
+def reconstruct(table, symmetry_tol: float = 1e-8) -> np.ndarray:
     """Density operator from its Wigner table.
 
-    ``formula="core"`` evaluates 4N * sum over the N x N core of
-    W(alpha) A(alpha) as the exact inverse of the row-wise FFT, in
-    O(N^2 log N); ``formula="full"`` evaluates N * sum over the whole
-    lattice against the dense point-operator stack and is the reference
-    oracle.  The two agree whenever the table satisfies the symmetry
-    relation, which is checked first (InconsistentTableError beyond
-    ``symmetry_tol``, or for a non-finite residual).
+    Evaluates 4N * sum over the N x N core of W(alpha) A(alpha) as the
+    exact inverse of the row-wise FFT, in O(N^2 log N).  This equals
+    N * sum over the whole lattice whenever the table satisfies the
+    symmetry relation, which is checked first (InconsistentTableError
+    beyond ``symmetry_tol``, or for a non-finite residual).
     """
     w = np.asarray(table, dtype=float)
     n = table_dimension(w)
@@ -308,11 +298,7 @@ def reconstruct(table, formula: str = "core", symmetry_tol: float = 1e-8) -> np.
         raise InconsistentTableError(
             f"table violates the symmetry relation (residual {residual:.3e})"
         )
-    if formula == "core":
-        return _core_inverse(w[:n, :n])
-    if formula == "full":
-        return n * np.einsum("a,aij->ij", w.reshape(-1), _point_stack_full(n))
-    raise ValueError(f"formula must be 'core' or 'full', got {formula!r}")
+    return _core_inverse(w[:n, :n])
 
 
 def marginal_position(table) -> np.ndarray:

@@ -30,6 +30,7 @@ from dwigner.phase_space import (
     point_operator_stack,
     reflection_operator,
 )
+from dwigner.reference import reconstruct_full
 from dwigner.sampling import (
     random_density,
     random_kraus_channel,
@@ -227,8 +228,8 @@ def test_c08_reconstruction():
         for _ in range(50):
             rho = random_density(n, rng)
             w = wigner_table(rho)
-            via_core = reconstruct(w, formula="core")
-            via_full = reconstruct(w, formula="full")
+            via_core = reconstruct(w)
+            via_full = reconstruct_full(w)
             worst = max(worst, max_abs(via_core - via_full))
             worst = max(worst, max_abs(via_core - rho))
     report(8, "reconstruction", worst <= 1e-10, f"residual {worst:.2e}")

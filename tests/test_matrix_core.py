@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from dwigner.matrix_core import (
     DimMismatchError,
@@ -11,45 +9,11 @@ from dwigner.matrix_core import (
     is_hermitian,
     is_unitary,
     max_abs,
-    periodic_delta,
     trace_product,
     validate_density,
     validate_unitary,
 )
 from dwigner.phase_space import point_operator
-
-
-def delta_by_exponential_sum(q, n):
-    """Independent oracle: (1/n) sum_k exp(-2 pi i q k / n)."""
-    total = sum(np.exp(-2j * np.pi * q * k / n) for k in range(n))
-    return total / n
-
-
-class TestPeriodicDelta:
-    def test_zero_and_period(self):
-        assert periodic_delta(0, 4) == 1.0
-        assert periodic_delta(4, 4) == 1.0
-        assert periodic_delta(-8, 4) == 1.0
-
-    def test_nonmultiple_vanishes(self):
-        # the exponential sum (1/4) sum exp(-pi i k) cancels
-        oracle = delta_by_exponential_sum(2, 4)
-        assert abs(oracle) <= 1e-12
-        assert periodic_delta(2, 4) == 0.0
-
-    @given(q=st.integers(-40, 40), n=st.integers(1, 10))
-    def test_matches_exponential_sum(self, q, n):
-        oracle = delta_by_exponential_sum(q, n)
-        assert abs(oracle.imag) <= 1e-12
-        assert abs(periodic_delta(q, n) - oracle.real) <= 1e-12
-
-    @given(q=st.integers(-32, 32), n=st.integers(1, 8))
-    def test_periodicity(self, q, n):
-        assert periodic_delta(q, n) == periodic_delta(q + n, n)
-
-    def test_rejects_bad_period(self):
-        with pytest.raises(ValueError):
-            periodic_delta(1, 0)
 
 
 class TestHermitianEig:

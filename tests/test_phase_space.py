@@ -8,7 +8,6 @@ from dwigner.phase_space import (
     core_points,
     fourier_matrix,
     full_points,
-    gamma_kernel,
     line_points,
     line_projector,
     momentum_shift,
@@ -19,6 +18,7 @@ from dwigner.phase_space import (
     reflection_operator,
     translation_operator,
 )
+from dwigner.reference import gamma_kernel
 
 
 def point_operator_by_fourier_sum(q, p, n):

@@ -13,8 +13,13 @@ from dwigner.phase_space import (
     core_points,
     fourier_matrix,
     full_points,
-    gamma_tensor,
     point_operator,
+)
+from dwigner.reference import (
+    PURITY_PREFACTOR_SCALE,
+    gamma_tensor,
+    reconstruct_full,
+    table_values,
 )
 from dwigner.sampling import (
     random_density,
@@ -24,7 +29,6 @@ from dwigner.sampling import (
     random_unitary,
 )
 from dwigner.wigner import (
-    PURITY_PREFACTOR_SCALE,
     DegenerateSuperpositionError,
     InconsistentTableError,
     NonHermitianResultError,
@@ -90,10 +94,7 @@ class TestWignerTable:
         rng = np.random.default_rng(n)
         for _ in range(5):
             rho = random_density(n, rng)
-            w_trace = wigner_table(rho, method="trace")
-            w_lemma = wigner_table(rho, method="lemma")
-            assert max_abs(w_trace - w_lemma) <= 1e-10
-            np.testing.assert_array_equal(wigner_table(rho), w_lemma)
+            assert max_abs(table_values(rho) - wigner_table(rho)) <= 1e-10
 
     @pytest.mark.parametrize("n", EVEN_DIMS)
     def test_realness(self, n):
@@ -112,10 +113,6 @@ class TestWignerTable:
         bad = np.array([[0.5, 0.5], [0.0, 0.5]])
         with pytest.raises(NonHermitianResultError):
             wigner_table(bad)
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            wigner_table(np.eye(2) / 2, method="fft")
 
     @pytest.mark.parametrize("n", EVEN_DIMS)
     def test_grid_sum_is_trace(self, n):
@@ -149,8 +146,12 @@ class TestPurePositionTable:
             assert wigner_pure_position(q0, n).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_index_out_of_range(self):
+        amp = 1 / np.sqrt(2)
         with pytest.raises(IndexError):
             wigner_pure_position(4, 4)
+        for q0, q1 in ((0, -1), (0, 4), (-1, 2), (4, 0)):
+            with pytest.raises(IndexError, match="out of range"):
+                superposition_cross_term(amp, amp, 1, 0, 4, q0=q0, q1=q1)
 
     def test_odd_dimension(self):
         with pytest.raises(OddDimensionError):
@@ -195,6 +196,8 @@ class TestSuperposition:
             wigner_superposition(1, 1, 0.0, 2)
         with pytest.raises(DegenerateSuperpositionError):
             superposition_state(0, 0, 0.0, 2)
+        with pytest.raises(DegenerateSuperpositionError):
+            superposition_cross_term(1 / np.sqrt(2), 1 / np.sqrt(2), 0, 0, 4, q0=1, q1=1)
 
     def test_non_finite_phase_rejected(self):
         with pytest.raises(NotNormalizedError):
@@ -292,8 +295,8 @@ class TestReconstruction:
         for _ in range(10):
             rho = random_density(n, rng)
             w = wigner_table(rho)
-            via_core = reconstruct(w, formula="core")
-            via_full = reconstruct(w, formula="full")
+            via_core = reconstruct(w)
+            via_full = reconstruct_full(w)
             assert max_abs(via_core - via_full) <= 1e-10
             assert max_abs(via_core - rho) <= 1e-10
             assert max_abs(wigner_table(via_core) - w) <= 1e-10
@@ -303,10 +306,6 @@ class TestReconstruction:
         w[2, 1] += 1e-3
         with pytest.raises(InconsistentTableError):
             reconstruct(w)
-
-    def test_unknown_formula(self):
-        with pytest.raises(ValueError):
-            reconstruct(TABLE_N2_KET0, formula="both")
 
     def test_non_finite_table_rejected(self):
         w = wigner_table(ket_density(0, 2))
