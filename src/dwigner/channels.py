@@ -4,8 +4,9 @@ A channel is a finite family of N x N matrices V_i with
 sum_i V_i* V_i = I, acting as rho -> sum_i V_i rho V_i*.  The module also
 provides the phase-space propagator of a unitary U, which implements
 conjugation by U directly on Wigner tables.  Its ``apply`` inverts a
-table through the row-wise FFT kernel of :mod:`dwigner.wigner`,
-conjugates, and tabulates again, in O(N^3) time and O(N^2) memory.  The
+table through the row-wise FFT kernel of :mod:`dwigner.wigner` (one
+contraction with a cached kernel and one FFT per row), conjugates, and
+tabulates the core again, in O(N^3) time and O(N^2) memory.  The
 equivalent real 4N^2 x 4N^2 matrix
 
     Z[alpha, beta] = N tr(A(alpha) U A(beta) U*)
@@ -16,13 +17,15 @@ Fourier-conjugated channel with Kraus operators F V_i F*, and the
 per-point square-root decomposition M_i = sqrt(A) V_i that turns a
 channel's Wigner value into a sum of traces.  Like ``channel_wigner``,
 its report over all 4N^2 points needs no stack: it is evaluated from the
-monomial entries of the point operators in O(N^3).
+monomial entries of the point operators in O(N^3) time and O(N^2) memory.
+A channel keeps its Kraus family stacked, so applying it is two batched
+products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -37,9 +40,10 @@ from .matrix_core import (
 from .phase_space import _point_entries, _point_stack_full, _roots, point_operator
 from .wigner import (
     NonHermitianResultError,
-    _core_inverse,
-    _fold_to_core,
+    _extend,
+    _lattice_phases,
     _require_even,
+    _table_inverse,
     _table_lemma,
     wigner_table,
 )
@@ -49,30 +53,43 @@ class InvalidChannelError(ValueError):
     """Kraus family fails the trace-preservation identity."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class KrausChannel:
-    """A finite Kraus family of equal-sized square matrices."""
+    """A finite Kraus family of equal-sized square matrices.
 
-    kraus: list[np.ndarray]
+    Takes a sequence of N x N matrices or a (K, N, N) array and keeps the
+    family as one read-only (K, N, N) complex array, the one that
+    ``apply_channel`` evaluates.
+    """
+
+    kraus: np.ndarray
     n: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.kraus:
+        if len(self.kraus) == 0:
             raise ValueError("channel needs at least one Kraus operator")
-        ops = [as_complex_matrix(v) for v in self.kraus]
-        dim = ops[0].shape[0]
+        ops = [np.asarray(v, dtype=complex) for v in self.kraus]
+        dim = ops[0].shape[0] if ops[0].ndim else 0
         for v in ops:
             if v.shape != (dim, dim):
                 raise DimMismatchError(
                     f"Kraus operators must all be {dim}x{dim}, got {v.shape}"
                 )
-        self.kraus = ops
-        self.n = dim
+        stacked = np.array(ops)
+        if not np.isfinite(stacked).all():
+            raise ValueError("matrix entries must be finite")
+        stacked.flags.writeable = False
+        object.__setattr__(self, "kraus", stacked)
+        object.__setattr__(self, "n", dim)
 
     def completeness_residual(self) -> float:
-        """Max-norm deviation of sum_i V_i* V_i from the identity."""
-        total = sum(adjoint(v) @ v for v in self.kraus)
-        return max_abs(total - np.eye(self.n))
+        """Max-norm deviation of sum_i V_i* V_i from the identity.
+
+        The sum is one product of the K N x N operators stacked as a
+        KN x N matrix.
+        """
+        stacked = self.kraus.reshape(-1, self.n)
+        return max_abs(adjoint(stacked) @ stacked - np.eye(self.n))
 
 
 def identity_channel(n: int) -> KrausChannel:
@@ -112,7 +129,11 @@ def depolarizing_channel(n: int) -> KrausChannel:
 
 
 def apply_channel(channel: KrausChannel, rho, completeness_tol: float = 1e-8) -> np.ndarray:
-    """sum_i V_i rho V_i*; validates dimensions and trace preservation."""
+    """sum_i V_i rho V_i*; validates dimensions and trace preservation.
+
+    Both the completeness residual and the sum are batched products over
+    the stacked operators.
+    """
     m = as_complex_matrix(rho)
     if m.shape != (channel.n, channel.n):
         raise DimMismatchError(
@@ -123,10 +144,8 @@ def apply_channel(channel: KrausChannel, rho, completeness_tol: float = 1e-8) ->
         raise InvalidChannelError(
             f"channel is not trace preserving (residual {residual:.3e})"
         )
-    out = np.zeros_like(m)
-    for v in channel.kraus:
-        out += v @ m @ adjoint(v)
-    return out
+    ops = channel.kraus
+    return (ops @ m @ ops.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
 def channel_wigner(channel: KrausChannel, rho, completeness_tol: float = 1e-8) -> np.ndarray:
@@ -159,8 +178,9 @@ class PhasePropagator:
         """Table of U rho U* with rho = N * sum over the full lattice of W A.
 
         For every real table this equals ``z @ table.reshape(-1)``; rho is
-        the core inverse of the sign-corrected quadrant mean, so no
-        symmetry check is applied.
+        the core inverse of the sign-corrected quadrant mean, taken in one
+        contraction, so no symmetry check is applied.  U rho U* is
+        tabulated on the core and extended by the sign rule.
         """
         w = np.asarray(table, dtype=float)
         if w.shape != (2 * self.n, 2 * self.n):
@@ -169,8 +189,8 @@ class PhasePropagator:
             )
         if not np.isfinite(w).all():
             raise ValueError("table entries must be finite")
-        rho = _core_inverse(_fold_to_core(w))
-        return _table_lemma(self.u @ rho @ adjoint(self.u)).real.copy()
+        rho = _table_inverse(w)
+        return _extend(_table_lemma(self.u @ rho @ adjoint(self.u)).real)
 
     @cached_property
     def z(self) -> np.ndarray:
@@ -210,7 +230,7 @@ def fourier_conjugate_channel(channel: KrausChannel, f) -> KrausChannel:
             f"conjugating unitary is {mat.shape}, channel acts on "
             f"{channel.n}x{channel.n}"
         )
-    return KrausChannel([mat @ v @ adjoint(mat) for v in channel.kraus])
+    return KrausChannel(mat @ channel.kraus @ adjoint(mat))
 
 
 def point_sqrt_factor(q: int, p: int, n: int) -> np.ndarray:
@@ -240,6 +260,34 @@ def fano_sqrt_decomposition(
     return [s @ v for v in channel.kraus], s
 
 
+# Per-N constants of adjoint_form_report, O(N^2) and read-only.
+@lru_cache(maxsize=8)
+def _report_constants(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gather index, scaled DFT factor and minimum-eigenvalue grid.
+
+    Column m of B(q, p) = 2N A(q, p) holds root(p*q) * root(-2pm) in row
+    rows[q, m] = (q - m) mod N, with root(k) = exp(i*pi*k/N).  ``gather``
+    [q, m] is the flat index of Lambda[m, rows[q, m]], and ``dft`` [m, p]
+    is root(-2pm) / 2N, so tr(A(q, p) Lambda) = root(p*q) * (L @ dft)[q, p]
+    with L = Lambda.flat[gather].  ``min_eigs`` is -1/(2N), or +1/(2N)
+    where every column of B holds 1 on the diagonal, i.e. B = I.
+    """
+    k = np.arange(2 * n)
+    m = np.arange(n)
+    rows, _ = _point_entries(k, 0, n)
+    gather = m * n + rows
+    dft = _roots(n)[np.outer(-2 * m, k) % (2 * n)] / (2 * n)
+    min_eigs = np.full((2 * n, 2 * n), -1 / (2 * n))
+    # B = I needs rows[q, m] == m for every m, which leaves few rows to test
+    for q in np.flatnonzero((rows == m).all(axis=1)):
+        _, exponents = _point_entries(q, k, n)
+        deviation = np.abs(_roots(n)[exponents] - 1).max(axis=1)
+        min_eigs[q, deviation <= TOL_ALGEBRAIC] = 1 / (2 * n)
+    for constant in (gather, dft, min_eigs):
+        constant.flags.writeable = False
+    return gather, dft, min_eigs
+
+
 def adjoint_form_report(channel: KrausChannel, rho, psd_tol: float = 1e-12) -> list[dict]:
     """Per-grid-point comparison of the two decomposition identities.
 
@@ -248,37 +296,24 @@ def adjoint_form_report(channel: KrausChannel, rho, psd_tol: float = 1e-12) -> l
     cyclic form sum tr(S V rho V* S) and the adjoint form sum tr(M rho M*)
     against the channel-output Wigner value.
 
-    The spectrum of B = 2N A(q, p) is {-1, +1}, so the minimum eigenvalue
-    is -1/(2N) unless B = I.  Both forms are traces against the channel
-    output Lambda = Lambda(rho): with S = ((1+i) I + (1-i) B)/(2 sqrt(2N)),
+    B = 2N A(q, p) is a monomial matrix with unit-modulus entries, hence
+    unitary, and it is Hermitian, so B^2 = B B* = I and its spectrum is
+    {-1, +1}: the minimum eigenvalue is -1/(2N) unless B = I.  Both forms
+    are traces against the channel output Lambda = Lambda(rho): with
+    S = ((1+i) I + (1-i) B)/(2 sqrt(2N)) and B^2 = I,
 
-        tr(S^2 Lambda)  = (2i tr Lambda + 4 tr(B Lambda) - 2i tr(B^2 Lambda))/(8N),
-        tr(S* S Lambda) = (2 tr Lambda + 2 tr(B^2 Lambda))/(8N),
+        tr(S^2 Lambda)  = tr(A Lambda) = tr(B Lambda)/(2N),
+        tr(S* S Lambda) = tr(|A| Lambda) = tr(Lambda)/(2N).
 
-    and tr(B Lambda), tr(B^2 Lambda) are sums over the monomial entries of
-    B (B^2 is diagonal), in O(N^3) time and memory for all points.
+    tr(B Lambda) is a sum over the monomial entries of B, evaluated for all
+    points as one N-term matrix product, independent of the FFT that
+    tabulates the Wigner value: O(N^3) time and O(N^2) memory.
     """
     n = channel.n
     out_rho = apply_channel(channel, rho)
-    k = np.arange(2 * n)
-    # column m of B(q, p) holds values[q, p, m] in row rows[q, m]
-    rows, exponents = _point_entries(k[:, None], k, n)
-    rows, values = rows[:, 0], _roots(n)[exponents]
-    m = np.arange(n)
-    # tr(B Lambda) = sum_m B[row_m, m] Lambda[m, row_m]
-    tr_b = np.einsum("qpm,qm->qp", values, out_rho[m, rows])
-    # B^2[m, m] = B[m, row_m] B[row_m, m], the entries of columns row_m and m
-    squared = np.take_along_axis(values, rows[:, None, :], axis=2) * values
-    tr_b2 = squared @ np.diagonal(out_rho)
-    tr_out = np.trace(out_rho)
-    cyclic = (2j * tr_out + 4 * tr_b - 2j * tr_b2) / (8 * n)
-    adj = (2 * tr_out + 2 * tr_b2) / (8 * n)
-    # B = I exactly when every column's entry sits on the diagonal with value 1
-    deviation = np.where(
-        rows[:, None, :] == m, np.abs(values - 1), np.maximum(np.abs(values), 1)
-    )
-    is_identity = deviation.max(axis=2) <= TOL_ALGEBRAIC
-    min_eigs = np.where(is_identity, 1.0, -1.0) / (2 * n)
+    gather, dft, min_eigs = _report_constants(n)
+    cyclic = _lattice_phases(n, 2 * n, 1) * (out_rho.reshape(-1)[gather] @ dft)
+    adj = np.trace(out_rho) / (2 * n)
     w = wigner_table(out_rho)
     points = np.indices((2 * n, 2 * n)).reshape(2, -1).tolist()
     columns = (

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channels import channel_wigner, unitary_propagator
+from .channels import InvalidChannelError, channel_wigner, unitary_propagator
 from .io import (
     FLOAT_FMT,
     dump_json,
@@ -235,11 +235,6 @@ def cmd_channel(args, tol_factor: float) -> int:
         raise InputError(f"invalid Kraus file {args.kraus!r}: {exc}") from exc
     if channel.n != args.n:
         raise InputError(f"Kraus file has N={channel.n}, expected {args.n}")
-    residual = channel.completeness_residual()
-    if residual > 1e-8 * tol_factor:
-        raise InputError(
-            f"Kraus file is not trace preserving (residual {residual:.3e})"
-        )
     table = channel_wigner(channel, rho, completeness_tol=1e-8 * tol_factor)
     _write_bytes(_render_table(table, args.format), args.output)
     return EXIT_OK
@@ -336,7 +331,7 @@ def main(argv=None) -> int:
     try:
         tol_factor = _tol_factor()
         return args.func(args, tol_factor)
-    except InputError as exc:
+    except (InputError, InvalidChannelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (InconsistentTableError, NonHermitianResultError) as exc:

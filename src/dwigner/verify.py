@@ -33,8 +33,11 @@ def _residual_outcome(name: str, residual: float, tol: float) -> CheckOutcome:
 
 
 def _powers(m, count):
-    """m^0 .. m^(count-1) by repeated multiplication, stacked."""
-    out = [np.eye(m.shape[0], dtype=complex)]
+    """m^0 .. m^(count-1) by repeated multiplication, stacked on a new first axis.
+
+    ``m`` may be one matrix or a stack of them.
+    """
+    out = [np.broadcast_to(np.eye(m.shape[-1], dtype=complex), m.shape)]
     for _ in range(count - 1):
         out.append(out[-1] @ m)
     return np.stack(out)
@@ -95,15 +98,13 @@ def _check_point_fourier_form(n, rng):
 
 
 def _check_point_symmetry(n, rng):
-    worst = 0.0
-    for q in range(n):
-        for p in range(n):
-            base = phase_space.point_operator(q, p, n)
-            for sq in (0, 1):
-                for sp in (0, 1):
-                    shifted = phase_space.point_operator(q + sq * n, p + sp * n, n)
-                    sign = (-1.0) ** ((sp * q + sq * p + sq * sp * n) % 2)
-                    worst = max(worst, max_abs(shifted - sign * base))
+    # every point of the full lattice, indexed [sq, q, sp, p] as (q + sq*N, p + sp*N)
+    q, p = np.indices((2 * n, 2 * n))
+    ops = phase_space.point_operator(q, p, n).reshape(2, n, 2, n, n, n)
+    sq, qc, sp, pc = np.indices((2, n, 2, n))
+    sign = (-1.0) ** ((sp * qc + sq * pc + sq * sp * n) % 2)
+    base = ops[0, :, 0, :][None, :, None, :]
+    worst = max_abs(ops - sign[..., None, None] * base)
     return _residual_outcome("phase_space.point_symmetry", worst, 1e-12)
 
 
@@ -132,16 +133,11 @@ def _check_reflection_fourier(n, rng):
 
 
 def _check_translation_power(n, rng):
-    worst = 0.0
-    for q, p in ((1, 0), (0, 1), (1, 1), (1, 2)):
-        t = phase_space.translation_operator(q, p, n)
-        power = np.eye(n, dtype=complex)
-        for lam in range(2 * n):
-            worst = max(
-                worst,
-                max_abs(phase_space.translation_operator(lam * q, lam * p, n) - power),
-            )
-            power = power @ t
+    q, p = np.array(((1, 0), (0, 1), (1, 1), (1, 2))).T
+    lam = np.arange(2 * n)
+    direct = phase_space.translation_operator(np.outer(q, lam), np.outer(p, lam), n)
+    powers = _powers(phase_space.translation_operator(q, p, n), 2 * n)
+    worst = max_abs(direct - powers.swapaxes(0, 1))
     return _residual_outcome("phase_space.translation_power", worst, 1e-12)
 
 

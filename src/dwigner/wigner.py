@@ -20,12 +20,14 @@ row (q - m) mod N.  The trace therefore collapses to the matrix-element sum
     W[q, p] = (1/2N) exp(-i*pi*p*q/N) sum_m rho[(q - m) mod N, m] exp(2*pi*i*p*m/N),
 
 which for each row q is a length-N inverse DFT of a wrapped diagonal of
-rho, periodic in p with period N.  ``wigner_table`` evaluates it that way,
-in O(N^2 log N) time and O(N^2) memory; the rows and phase roots come from
-the monomial entries of :mod:`dwigner.phase_space`.  ``reconstruct``
-inverts it exactly on the N x N core, one forward DFT per row, and
-``purity_residual`` compares a table with the table of the square of that
-inverse.  The trace against the dense point-operator stack, the sum over
+rho, periodic in p with period N.  ``wigner_table`` evaluates it that way
+on the N x N core only and extends the core by the sign rule, in
+O(N^2 log N) time and O(N^2) memory; the rows and phase roots come from
+the monomial entries of :mod:`dwigner.phase_space`, and every per-N index
+and phase table is cached read-only with its scale folded in.
+``reconstruct`` inverts it exactly on the core, one forward DFT per row,
+and ``purity_residual`` compares a table with the table of the square of
+that inverse.  The trace against the dense point-operator stack, the sum over
 the full lattice and the three-point kernel Gamma are independent oracles
 for the tests and ``verify``, in :mod:`dwigner.reference`.
 """
@@ -76,7 +78,8 @@ def table_dimension(table) -> int:
 def wigner_table(rho, imag_tol: float = 1e-10) -> np.ndarray:
     """Wigner table of a density operator (or any Hermitian matrix).
 
-    Evaluates the matrix-element sum by one FFT per row.  Raises
+    Evaluates the matrix-element sum on the N x N core, one FFT per row,
+    and extends the core by the sign rule.  Raises
     OddDimensionError for odd N and NonHermitianResultError if the
     imaginary residue of the evaluation exceeds ``imag_tol`` (which signals
     a non-Hermitian input or an operator bug upstream).
@@ -86,24 +89,25 @@ def wigner_table(rho, imag_tol: float = 1e-10) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     n = m.shape[0]
     _require_even(n)
-    values = _table_lemma(m)
-    residue = max_abs(values.imag)
+    core = _table_lemma(m)
+    residue = max_abs(core.imag)
     if residue > imag_tol:
         raise NonHermitianResultError(
             f"imaginary residue {residue:.3e} exceeds {imag_tol:g}"
         )
-    return values.real.copy()
+    return _extend(core.real)
 
 
-# The per-N constants of the FFT kernel are cached read-only: rebuilding
-# them cost a large part of each small-N kernel call.  The bound covers a
-# few sizes in use at once, each needing two phase tables.
+# The per-N constants of the FFT kernel are cached read-only and pre-scaled:
+# rebuilding them cost a large part of each small-N kernel call.  The bound
+# covers a few sizes in use at once.
 @lru_cache(maxsize=16)
 def _lattice_phases(n: int, size: int, sign: int) -> np.ndarray:
     """exp(sign * i*pi*(q*p mod 2N)/N) for 0 <= q, p < size.
 
     The roots for exponents N .. 2N-1 are the exact negatives of those
-    below N, so tables obey the core-extension sign rule bit for bit.
+    below N, so the rows and columns from N on are the core's times the
+    signs of the sign rule.
     """
     k = np.arange(size)
     phases = _roots(n)[np.outer(k, k) % (2 * n)]
@@ -115,19 +119,51 @@ def _lattice_phases(n: int, size: int, sign: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _wrap_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index pair selecting wrapped[q, m] = rho[(q - m) mod N, m] for 0 <= q, m < N."""
+    """Flat N x N gather indices between rho and its wrapped diagonals.
+
+    ``wrap`` selects wrapped[q, m] = rho[(q - m) mod N, m] from the
+    flattened rho, and ``unwrap`` selects rho[r, m] = wrapped[(r + m) mod N, m]
+    back from the flattened wrapped rows.
+    """
     m = np.arange(n)
     rows, _ = _point_entries(m, 0, n)
-    rows.flags.writeable = False
-    m.flags.writeable = False
-    return rows, m
+    wrap = rows * n + m
+    unwrap = ((m[:, None] + m) % n) * n + m
+    wrap.flags.writeable = False
+    unwrap.flags.writeable = False
+    return wrap, unwrap
+
+
+@lru_cache(maxsize=8)
+def _core_kernels(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pre-scaled phase kernels of the row-wise FFT, read-only.
+
+    ``table`` (N x N) turns the unnormalised inverse DFT of the wrapped rows
+    into the table core.  ``inverse`` (N x N) turns a core into the spectra
+    whose unnormalised DFT per row gives back the wrapped rows of 4N sum_core
+    W A.  ``fold`` (2, N, 2, N, indexed like ``_quadrant_signs``) does the
+    same for a whole table, with the sign rule and the mean over the four
+    quadrants folded in.
+    """
+    table = _lattice_phases(n, n, -1) / (2 * n)
+    inverse = 2 * _lattice_phases(n, n, 1)
+    fold = _quadrant_signs(n) * inverse[None, :, None, :] / 4
+    for kernel in (table, inverse, fold):
+        kernel.flags.writeable = False
+    return table, inverse, fold
 
 
 def _table_lemma(rho: np.ndarray) -> np.ndarray:
+    """Complex N x N core of the table of rho; ``_extend`` gives the full table."""
     n = rho.shape[0]
-    # wrapped[q, m] = rho[(q - m) mod N, m]; rows q and q + N coincide
-    rows = n * np.fft.ifft(rho[_wrap_index(n)], axis=1)
-    return np.tile(rows, (2, 2)) * _lattice_phases(n, 2 * n, -1) / (2 * n)
+    wrapped = rho.reshape(-1)[_wrap_index(n)[0]]
+    return np.fft.ifft(wrapped, axis=1, norm="forward") * _core_kernels(n)[0]
+
+
+def _from_spectra(spectra: np.ndarray) -> np.ndarray:
+    """The operator whose wrapped rows are the unnormalised DFTs of ``spectra``."""
+    n = spectra.shape[0]
+    return np.fft.fft(spectra, axis=1).reshape(-1)[_wrap_index(n)[1]]
 
 
 def _core_inverse(core: np.ndarray) -> np.ndarray:
@@ -135,11 +171,20 @@ def _core_inverse(core: np.ndarray) -> np.ndarray:
 
     Undoes ``_table_lemma`` row by row; no symmetry check.
     """
-    n = core.shape[0]
-    spectra = 2 * n * core * _lattice_phases(n, n, 1)
-    rho = np.empty((n, n), dtype=complex)
-    rho[_wrap_index(n)] = np.fft.fft(spectra, axis=1) / n
-    return rho
+    return _from_spectra(core * _core_kernels(core.shape[0])[1])
+
+
+def _table_inverse(table: np.ndarray) -> np.ndarray:
+    """N * sum over the full lattice of W A, for any real 2N x 2N table.
+
+    A(alpha) obeys the sign rule, so this is the core inverse of the
+    sign-corrected mean of the four quadrants; for a table that obeys the
+    rule, that mean is its core.  One contraction with the fold kernel and
+    one FFT per row.
+    """
+    n = table.shape[0] // 2
+    spectra = (table.reshape(2, n, 2, n) * _core_kernels(n)[2]).sum(axis=(0, 2))
+    return _from_spectra(spectra)
 
 
 def basis_state(q0: int, n: int) -> np.ndarray:
@@ -237,7 +282,7 @@ def symmetry_residual(table) -> float:
     """Max deviation of a table from its own core extension."""
     w = np.asarray(table, dtype=float)
     n = table_dimension(w)
-    return max_abs(w - extend_by_symmetry(w[:n, :n]))
+    return max_abs(w - _extend(w[:n, :n]))
 
 
 def restrict_to_core(table) -> np.ndarray:
@@ -266,20 +311,14 @@ def extend_by_symmetry(core) -> np.ndarray:
     c = np.asarray(core, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError(f"expected a square core, got shape {c.shape}")
-    n = c.shape[0]
-    _require_even(n)
-    return (c[None, :, None, :] * _quadrant_signs(n)).reshape(2 * n, 2 * n)
+    _require_even(c.shape[0])
+    return _extend(c)
 
 
-def _fold_to_core(table: np.ndarray) -> np.ndarray:
-    """Sign-corrected mean of the four N x N quadrants of a 2N x 2N table.
-
-    For a table that obeys the sign rule this is its core.  For any real
-    table, ``_core_inverse`` of the fold is N * sum over the full lattice
-    of W A, because A(alpha) itself obeys the sign rule.
-    """
-    n = table.shape[0] // 2
-    return (table.reshape(2, n, 2, n) * _quadrant_signs(n)).sum(axis=(0, 2)) / 4
+def _extend(core: np.ndarray) -> np.ndarray:
+    """The sign-rule extension of a real or complex N x N core, unchecked."""
+    n = core.shape[0]
+    return (core[None, :, None, :] * _quadrant_signs(n)).reshape(2 * n, 2 * n)
 
 
 def reconstruct(table, symmetry_tol: float = 1e-8) -> np.ndarray:
@@ -362,4 +401,4 @@ def purity_residual(table) -> float:
     w = np.asarray(table, dtype=float)
     n = table_dimension(w)
     rho = _core_inverse(w[:n, :n])
-    return max_abs(w - _table_lemma(rho @ rho))
+    return max_abs(w - _extend(_table_lemma(rho @ rho)))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,23 @@ def eigh_sqrt_factor(q, p, n):
     return (decomp.eigenvectors * roots) @ adjoint(decomp.eigenvectors)
 
 
+def assert_report_matches_oracle(ch, rho, report):
+    """Every report row against eigh square roots and traces at its point."""
+    n = ch.n
+    w_out = channel_wigner(ch, rho)
+    assert len(report) == 4 * n * n
+    for row, (q, p) in zip(report, full_points(n)):
+        assert (row["q"], row["p"]) == (q, p)
+        min_eig = hermitian_eig(point_operator(q, p, n)).eigenvalues[0]
+        assert row["min_eigenvalue"] == pytest.approx(min_eig, abs=1e-12)
+        assert row["psd"] == (min_eig >= -1e-12)
+        s = eigh_sqrt_factor(q, p, n)
+        cyclic = sum(trace_product([s, v, rho, adjoint(v), s]) for v in ch.kraus)
+        adj = sum(trace_product([s, v, rho, adjoint(s @ v)]) for v in ch.kraus)
+        assert row["cyclic_residual"] == pytest.approx(abs(cyclic - w_out[q, p]), abs=1e-12)
+        assert row["adjoint_residual"] == pytest.approx(abs(adj - w_out[q, p]), abs=1e-12)
+
+
 def stochastic_2x2(p11, p12):
     return np.array([[p11, p12], [1 - p11, 1 - p12]])
 
@@ -57,6 +76,34 @@ class TestKrausChannel:
     def test_requires_matching_shapes(self):
         with pytest.raises(DimMismatchError):
             KrausChannel([np.eye(2), np.eye(3)])
+
+    def test_accepts_stacked_array(self):
+        rng = np.random.default_rng(13)
+        ops = random_kraus_channel(4, 3, rng).kraus
+        from_list = KrausChannel(list(ops))
+        from_array = KrausChannel(np.stack(ops))
+        assert from_array.n == 4
+        assert from_array.kraus.shape == (3, 4, 4)
+        assert np.array_equal(from_array.kraus, from_list.kraus)
+        rho = random_density(4, rng)
+        assert np.array_equal(apply_channel(from_array, rho), apply_channel(from_list, rho))
+
+    def test_kraus_is_the_evaluated_family(self):
+        # the stored family is a read-only copy: neither the caller's arrays
+        # nor writes through .kraus can change what apply_channel evaluates
+        ops = [np.eye(2, dtype=complex)]
+        ch = KrausChannel(ops)
+        ops[0][0, 0] = 0.0
+        assert ch.kraus[0, 0, 0] == 1.0
+        with pytest.raises(ValueError):
+            ch.kraus[0, 0, 0] = 0.0
+        with pytest.raises(AttributeError):
+            ch.kraus = np.zeros((1, 2, 2))
+        assert max_abs(apply_channel(ch, np.eye(2) / 2) - np.eye(2) / 2) == 0.0
+
+    def test_rejects_non_finite_operator(self):
+        with pytest.raises(ValueError, match="finite"):
+            KrausChannel([np.array([[1.0, np.nan], [0.0, 1.0]])])
 
     def test_completeness_residual(self):
         assert identity_channel(3).completeness_residual() <= 1e-15
@@ -116,6 +163,28 @@ class TestApplyChannel:
         assert max_abs(out - adjoint(out)) <= 1e-12
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)
         assert np.linalg.eigvalsh(out).min() >= -1e-10
+
+    @pytest.mark.parametrize("k", (1, 2, 4))
+    def test_stacked_matches_per_term_loop(self, k):
+        rng = np.random.default_rng(20 + k)
+        ch = random_kraus_channel(6, k, rng)
+        rho = random_density(6, rng)
+        loop = sum(v @ rho @ adjoint(v) for v in ch.kraus)
+        assert max_abs(apply_channel(ch, rho) - loop) <= 1e-15
+        gram = sum(adjoint(v) @ v for v in ch.kraus)
+        assert ch.completeness_residual() == pytest.approx(
+            max_abs(gram - np.eye(6)), abs=1e-15
+        )
+
+    def test_stacked_matches_per_term_loop_stochastic(self):
+        # N^2 rank-one terms
+        rng = np.random.default_rng(29)
+        p = rng.random((5, 5))
+        ch = stochastic_channel(p / p.sum(axis=0))
+        assert len(ch.kraus) == 25
+        rho = random_density(5, rng)
+        loop = sum(v @ rho @ adjoint(v) for v in ch.kraus)
+        assert max_abs(apply_channel(ch, rho) - loop) <= 1e-15
 
     def test_rejects_invalid_channel(self):
         broken = KrausChannel([0.9 * np.eye(2)])
@@ -371,18 +440,28 @@ class TestSqrtDecomposition:
         rng = np.random.default_rng(71 + n)
         ch = random_kraus_channel(n, 3, rng)
         rho = random_density(n, rng)
-        w_out = channel_wigner(ch, rho)
-        report = adjoint_form_report(ch, rho)
-        for row, (q, p) in zip(report, full_points(n)):
-            assert (row["q"], row["p"]) == (q, p)
-            min_eig = hermitian_eig(point_operator(q, p, n)).eigenvalues[0]
-            assert row["min_eigenvalue"] == pytest.approx(min_eig, abs=1e-12)
-            assert row["psd"] == (min_eig >= -1e-12)
-            s = eigh_sqrt_factor(q, p, n)
-            cyclic = sum(trace_product([s, v, rho, adjoint(v), s]) for v in ch.kraus)
-            adj = sum(trace_product([s, v, rho, adjoint(s @ v)]) for v in ch.kraus)
-            assert row["cyclic_residual"] == pytest.approx(abs(cyclic - w_out[q, p]), abs=1e-12)
-            assert row["adjoint_residual"] == pytest.approx(abs(adj - w_out[q, p]), abs=1e-12)
+        assert_report_matches_oracle(ch, rho, adjoint_form_report(ch, rho))
+
+    def test_report_sizes_in_turn_match_oracle(self):
+        # the per-N report constants are cached; alternating sizes must not mix them
+        rng = np.random.default_rng(79)
+        for n in (4, 6, 4, 2):
+            ch = random_kraus_channel(n, 2, rng)
+            rho = random_density(n, rng)
+            assert_report_matches_oracle(ch, rho, adjoint_form_report(ch, rho))
+
+    def test_report_memory_is_quadratic(self):
+        # one 4N^3 complex intermediate at N = 64 is 16 MiB; the report needs none
+        rng = np.random.default_rng(97)
+        ch = random_kraus_channel(64, 3, rng)
+        rho = random_density(64, rng)
+        tracemalloc.start()
+        try:
+            adjoint_form_report(ch, rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     @pytest.mark.parametrize("n", (4, 6, 8))
     def test_psd_branch_empty_beyond_n2(self, n):

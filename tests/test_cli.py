@@ -255,6 +255,19 @@ class TestChannelCommand:
         assert code == 2
         assert "trace preserving" in err
 
+    def test_invalid_channel_is_one_error_line(self, tmp_path, capsys):
+        obj = {"n": 2, "kraus": [[[0.9, 0.0], [0.0, 0.0], [0.0, 0.0], [0.9, 0.0]]]}
+        kraus_file = tmp_path / "lossy.json"
+        kraus_file.write_text(json.dumps(obj))
+        code, out, err = run(
+            ["channel", "--n", "2", "--state", "ket:0", "--kraus", str(kraus_file)],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: channel is not trace preserving")
+        assert err.count("\n") == 1
+
 
 def roundtrip_specs():
     for n in (2, 4):

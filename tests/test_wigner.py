@@ -5,7 +5,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from goldens import TABLE_N2_KET0, TABLE_N2_KET1, TABLES_N4
-from dwigner.channels import adjoint_form_report, channel_wigner, unitary_propagator
+from dwigner.channels import (
+    _report_constants,
+    adjoint_form_report,
+    channel_wigner,
+    unitary_propagator,
+)
 from dwigner.matrix_core import adjoint, max_abs, trace_product
 from dwigner.phase_space import (
     _point_stack_core,
@@ -34,6 +39,7 @@ from dwigner.wigner import (
     NonHermitianResultError,
     NotNormalizedError,
     OddDimensionError,
+    _core_kernels,
     _lattice_phases,
     _quadrant_signs,
     _wrap_index,
@@ -383,6 +389,12 @@ class TestFastPathProperties:
             lambda n: _quadrant_signs(n),
             lambda n: _wrap_index(n)[0],
             lambda n: _wrap_index(n)[1],
+            lambda n: _core_kernels(n)[0],
+            lambda n: _core_kernels(n)[1],
+            lambda n: _core_kernels(n)[2],
+            lambda n: _report_constants(n)[0],
+            lambda n: _report_constants(n)[1],
+            lambda n: _report_constants(n)[2],
         ),
     )
     def test_cached_kernel_constants_are_read_only(self, constant):
