@@ -18,8 +18,8 @@ per-point square-root decomposition M_i = sqrt(A) V_i that turns a
 channel's Wigner value into a sum of traces.  Like ``channel_wigner``,
 its report over all 4N^2 points needs no stack: it is evaluated from the
 monomial entries of the point operators in O(N^3) time and O(N^2) memory.
-A channel keeps its Kraus family stacked, so applying it is two batched
-products.
+A channel keeps its Kraus family stacked, so its completeness residual and
+its action are one (KN x N)-shaped matrix product each.
 """
 
 from __future__ import annotations
@@ -108,31 +108,21 @@ def stochastic_channel(p_matrix) -> KrausChannel:
     if np.any(p < 0) or max_abs(p.sum(axis=0) - 1.0) > 1e-12:
         raise ValueError("matrix must be column stochastic (nonnegative, columns sum to 1)")
     n = p.shape[0]
-    ops = []
-    for i in range(n):
-        for j in range(n):
-            v = np.zeros((n, n), dtype=complex)
-            v[i, j] = np.sqrt(p[i, j])
-            ops.append(v)
-    return KrausChannel(ops)
+    # operator i*N + j holds its one entry at flat index i*N + j, so the
+    # (N^2, N, N) family is a diagonal N^2 x N^2 matrix
+    return KrausChannel(np.diag(np.sqrt(p).reshape(-1)).reshape(n * n, n, n))
 
 
 def depolarizing_channel(n: int) -> KrausChannel:
     """Channel with Kraus operators |i><j| / sqrt(N); sends every state to I/N."""
-    ops = []
-    for i in range(n):
-        for j in range(n):
-            v = np.zeros((n, n), dtype=complex)
-            v[i, j] = 1.0 / np.sqrt(n)
-            ops.append(v)
-    return KrausChannel(ops)
+    return stochastic_channel(np.full((n, n), 1 / n))
 
 
 def apply_channel(channel: KrausChannel, rho, completeness_tol: float = 1e-8) -> np.ndarray:
     """sum_i V_i rho V_i*; validates dimensions and trace preservation.
 
-    Both the completeness residual and the sum are batched products over
-    the stacked operators.
+    The sum is one (N x KN)(KN x N) product: X[a, (i, b)] = (V_i rho)[a, b]
+    against the conjugate of Y[c, (i, b)] = V_i[c, b].
     """
     m = as_complex_matrix(rho)
     if m.shape != (channel.n, channel.n):
@@ -145,7 +135,9 @@ def apply_channel(channel: KrausChannel, rho, completeness_tol: float = 1e-8) ->
             f"channel is not trace preserving (residual {residual:.3e})"
         )
     ops = channel.kraus
-    return (ops @ m @ ops.conj().transpose(0, 2, 1)).sum(axis=0)
+    n, k = channel.n, len(ops)
+    terms = (ops @ m).transpose(1, 0, 2).reshape(n, k * n)
+    return terms @ ops.transpose(1, 0, 2).reshape(n, k * n).conj().T
 
 
 def channel_wigner(channel: KrausChannel, rho, completeness_tol: float = 1e-8) -> np.ndarray:
@@ -168,7 +160,6 @@ class PhasePropagator:
     """
 
     u: np.ndarray
-    imag_tol: float = 1e-12
 
     @property
     def n(self) -> int:
@@ -194,7 +185,7 @@ class PhasePropagator:
 
     @cached_property
     def z(self) -> np.ndarray:
-        """The 4N^2 x 4N^2 kernel; an imaginary residue above ``imag_tol`` raises."""
+        """The 4N^2 x 4N^2 kernel; an imaginary residue above 1e-12 raises."""
         n = self.n
         stack = _point_stack_full(n)
         conjugated = self.u @ stack @ adjoint(self.u)
@@ -203,23 +194,23 @@ class PhasePropagator:
             @ conjugated.transpose(0, 2, 1).reshape(4 * n * n, n * n).T
         )
         residue = max_abs(z.imag)
-        if residue > self.imag_tol:
+        if residue > TOL_ALGEBRAIC:
             raise NonHermitianResultError(
                 f"propagator has imaginary residue {residue:.3e}"
             )
         return z.real.copy()
 
 
-def unitary_propagator(u, imag_tol: float = 1e-12) -> PhasePropagator:
+def unitary_propagator(u) -> PhasePropagator:
     """Phase-space propagator of a unitary U on even dimension N.
 
     Applying it to the table of rho yields the table of U rho U*.  Only U
     is validated here; the kernel ``z`` is built on first access, where an
-    imaginary residue above ``imag_tol`` raises.
+    imaginary residue above 1e-12 raises.
     """
     mat = validate_unitary(u)
     _require_even(mat.shape[0])
-    return PhasePropagator(u=mat, imag_tol=imag_tol)
+    return PhasePropagator(u=mat)
 
 
 def fourier_conjugate_channel(channel: KrausChannel, f) -> KrausChannel:
@@ -262,15 +253,16 @@ def fano_sqrt_decomposition(
 
 # Per-N constants of adjoint_form_report, O(N^2) and read-only.
 @lru_cache(maxsize=8)
-def _report_constants(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gather index, scaled DFT factor and minimum-eigenvalue grid.
+def _report_constants(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Gather index, scaled DFT factor, minimum-eigenvalue grid and PSD mask.
 
     Column m of B(q, p) = 2N A(q, p) holds root(p*q) * root(-2pm) in row
     rows[q, m] = (q - m) mod N, with root(k) = exp(i*pi*k/N).  ``gather``
     [q, m] is the flat index of Lambda[m, rows[q, m]], and ``dft`` [m, p]
     is root(-2pm) / 2N, so tr(A(q, p) Lambda) = root(p*q) * (L @ dft)[q, p]
     with L = Lambda.flat[gather].  ``min_eigs`` is -1/(2N), or +1/(2N)
-    where every column of B holds 1 on the diagonal, i.e. B = I.
+    where every column of B holds 1 on the diagonal, i.e. B = I; ``psd``
+    is that B = I mask.
     """
     k = np.arange(2 * n)
     m = np.arange(n)
@@ -283,23 +275,25 @@ def _report_constants(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         _, exponents = _point_entries(q, k, n)
         deviation = np.abs(_roots(n)[exponents] - 1).max(axis=1)
         min_eigs[q, deviation <= TOL_ALGEBRAIC] = 1 / (2 * n)
-    for constant in (gather, dft, min_eigs):
+    psd = min_eigs > 0
+    for constant in (gather, dft, min_eigs, psd):
         constant.flags.writeable = False
-    return gather, dft, min_eigs
+    return gather, dft, min_eigs, psd
 
 
-def adjoint_form_report(channel: KrausChannel, rho, psd_tol: float = 1e-12) -> list[dict]:
+def adjoint_form_report(channel: KrausChannel, rho) -> list[dict]:
     """Per-grid-point comparison of the two decomposition identities.
 
     For every lattice point, records the minimum eigenvalue of A(q, p),
-    whether A is PSD at ``psd_tol``, and the absolute residuals of the
-    cyclic form sum tr(S V rho V* S) and the adjoint form sum tr(M rho M*)
-    against the channel-output Wigner value.
+    whether A is PSD, and the absolute residuals of the cyclic form
+    sum tr(S V rho V* S) and the adjoint form sum tr(M rho M*) against the
+    channel-output Wigner value.
 
     B = 2N A(q, p) is a monomial matrix with unit-modulus entries, hence
     unitary, and it is Hermitian, so B^2 = B B* = I and its spectrum is
-    {-1, +1}: the minimum eigenvalue is -1/(2N) unless B = I.  Both forms
-    are traces against the channel output Lambda = Lambda(rho): with
+    {-1, +1}: the minimum eigenvalue is -1/(2N) unless B = I, and A is PSD
+    exactly where B = I, with no tolerance to choose.  Both forms are
+    traces against the channel output Lambda = Lambda(rho): with
     S = ((1+i) I + (1-i) B)/(2 sqrt(2N)) and B^2 = I,
 
         tr(S^2 Lambda)  = tr(A Lambda) = tr(B Lambda)/(2N),
@@ -311,14 +305,14 @@ def adjoint_form_report(channel: KrausChannel, rho, psd_tol: float = 1e-12) -> l
     """
     n = channel.n
     out_rho = apply_channel(channel, rho)
-    gather, dft, min_eigs = _report_constants(n)
+    gather, dft, min_eigs, psd = _report_constants(n)
     cyclic = _lattice_phases(n, 2 * n, 1) * (out_rho.reshape(-1)[gather] @ dft)
     adj = np.trace(out_rho) / (2 * n)
     w = wigner_table(out_rho)
     points = np.indices((2 * n, 2 * n)).reshape(2, -1).tolist()
     columns = (
         min_eigs.reshape(-1).tolist(),
-        (min_eigs >= -psd_tol).reshape(-1).tolist(),
+        psd.reshape(-1).tolist(),
         np.abs(cyclic - w).reshape(-1).tolist(),
         np.abs(adj - w).reshape(-1).tolist(),
     )

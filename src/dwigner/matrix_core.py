@@ -95,10 +95,10 @@ def hermitian_eig(a, tol: float = TOL_EIG) -> EigenDecomposition:
     m = as_complex_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise DimMismatchError(f"expected a square matrix, got shape {m.shape}")
-    if max_abs(m - adjoint(m)) > tol:
+    residual = max_abs(m - adjoint(m))
+    if residual > tol:
         raise NotHermitianError(
-            f"matrix is not Hermitian within {tol:g} "
-            f"(residual {max_abs(m - adjoint(m)):.3e})"
+            f"matrix is not Hermitian within {tol:g} (residual {residual:.3e})"
         )
     vals, vecs = np.linalg.eigh(m)
     vecs = vecs.copy()

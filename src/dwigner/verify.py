@@ -309,28 +309,18 @@ def _check_propagator(n, rng):
 
 
 def _check_gamma_invariance(n, rng):
+    # Gamma(a, b, c) = sum_{a', b', c'} z[a, a'] z[b, b'] z[c, c'] Gamma(a', b', c')
+    # with the inner lattice sums regrouped into M_i = sum_a z[i, a] A_a
     u = sampling.random_unitary(n, rng)
     prop = channels.unitary_propagator(u)
     stack = phase_space.point_operator_stack(n)
     count = 4 * n * n
-    if n == 2:
-        pairs = np.einsum("bij,cjk->bcik", stack, stack)
-        gamma_full = np.einsum("aij,bcji->abc", stack, pairs)
-        worst = 0.0
-        for _ in range(6):
-            ia, ib, ic = (int(rng.integers(count)) for _ in range(3))
-            contracted = np.einsum(
-                "a,b,c,abc->", prop.z[ia], prop.z[ib], prop.z[ic], gamma_full
-            )
-            worst = max(worst, abs(contracted - gamma_full[ia, ib, ic]))
-    else:
-        # same contraction with the inner sums over the lattice regrouped
-        worst = 0.0
-        for _ in range(6):
-            ia, ib, ic = (int(rng.integers(count)) for _ in range(3))
-            ms = [np.einsum("a,aij->ij", prop.z[i], stack) for i in (ia, ib, ic)]
-            direct = trace_product([stack[ia], stack[ib], stack[ic]])
-            worst = max(worst, abs(trace_product(ms) - direct))
+    worst = 0.0
+    for _ in range(6):
+        ia, ib, ic = (int(rng.integers(count)) for _ in range(3))
+        ms = [np.einsum("a,aij->ij", prop.z[i], stack) for i in (ia, ib, ic)]
+        direct = trace_product([stack[ia], stack[ib], stack[ic]])
+        worst = max(worst, abs(trace_product(ms) - direct))
     return _residual_outcome("channels.gamma_invariance", worst, 1e-8)
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from dwigner.channels import (
     InvalidChannelError,
     KrausChannel,
+    PhasePropagator,
     adjoint_form_report,
     apply_channel,
     channel_wigner,
@@ -109,6 +112,32 @@ class TestKrausChannel:
         assert identity_channel(3).completeness_residual() <= 1e-15
         broken = KrausChannel([0.5 * np.eye(2)])
         assert broken.completeness_residual() == pytest.approx(0.75)
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 5))
+    def test_stochastic_matches_loop_definition(self, n):
+        # zero entries of P still get their (zero) operator at index i*N + j
+        rng = np.random.default_rng(83 + n)
+        p = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
+        p[0] += p.sum(axis=0) == 0
+        p /= p.sum(axis=0)
+        ch = stochastic_channel(p)
+        assert ch.kraus.shape == (n * n, n, n)
+        for i in range(n):
+            for j in range(n):
+                v = np.zeros((n, n), dtype=complex)
+                v[i, j] = np.sqrt(p[i, j])
+                assert np.array_equal(ch.kraus[i * n + j], v)
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 5))
+    def test_depolarizing_is_uniform_stochastic(self, n):
+        ops = depolarizing_channel(n).kraus
+        ulp = np.spacing(1 / np.sqrt(n))
+        assert max_abs(ops - stochastic_channel(np.full((n, n), 1 / n)).kraus) <= ulp
+        for i in range(n):
+            for j in range(n):
+                v = np.zeros((n, n), dtype=complex)
+                v[i, j] = 1 / np.sqrt(n)
+                assert max_abs(ops[i * n + j] - v) <= ulp
 
     def test_stochastic_requires_column_stochastic(self):
         with pytest.raises(ValueError):
@@ -292,6 +321,12 @@ class TestUnitaryPropagator:
     def test_rejects_odd_dimension(self):
         with pytest.raises(OddDimensionError):
             unitary_propagator(fourier_matrix(3))
+
+    def test_tolerances_are_not_settable(self):
+        # the kernel and report tolerances are fixed, not caller options
+        assert list(inspect.signature(unitary_propagator).parameters) == ["u"]
+        assert list(inspect.signature(adjoint_form_report).parameters) == ["channel", "rho"]
+        assert [f.name for f in dataclasses.fields(PhasePropagator)] == ["u"]
 
     def test_gamma_invariance_n2(self):
         # literal triple contraction of Z against the full kernel tensor

@@ -395,6 +395,7 @@ class TestFastPathProperties:
             lambda n: _report_constants(n)[0],
             lambda n: _report_constants(n)[1],
             lambda n: _report_constants(n)[2],
+            lambda n: _report_constants(n)[3],
         ),
     )
     def test_cached_kernel_constants_are_read_only(self, constant):
