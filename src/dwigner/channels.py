@@ -68,19 +68,19 @@ class KrausChannel:
     def __post_init__(self) -> None:
         if len(self.kraus) == 0:
             raise ValueError("channel needs at least one Kraus operator")
-        ops = [np.asarray(v, dtype=complex) for v in self.kraus]
-        dim = ops[0].shape[0] if ops[0].ndim else 0
-        for v in ops:
-            if v.shape != (dim, dim):
-                raise DimMismatchError(
-                    f"Kraus operators must all be {dim}x{dim}, got {v.shape}"
-                )
-        stacked = np.array(ops)
+        try:
+            stacked = np.array(self.kraus, dtype=complex)
+        except ValueError as exc:
+            raise DimMismatchError(f"Kraus family is not a (K, N, N) array: {exc}") from exc
+        if stacked.ndim != 3 or stacked.shape[1] != stacked.shape[2]:
+            raise DimMismatchError(
+                f"Kraus family must have shape (K, N, N), got {stacked.shape}"
+            )
         if not np.isfinite(stacked).all():
             raise ValueError("matrix entries must be finite")
         stacked.flags.writeable = False
         object.__setattr__(self, "kraus", stacked)
-        object.__setattr__(self, "n", dim)
+        object.__setattr__(self, "n", stacked.shape[1])
 
     def completeness_residual(self) -> float:
         """Max-norm deviation of sum_i V_i* V_i from the identity.
@@ -260,22 +260,23 @@ def _report_constants(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     rows[q, m] = (q - m) mod N, with root(k) = exp(i*pi*k/N).  ``gather``
     [q, m] is the flat index of Lambda[m, rows[q, m]], and ``dft`` [m, p]
     is root(-2pm) / 2N, so tr(A(q, p) Lambda) = root(p*q) * (L @ dft)[q, p]
-    with L = Lambda.flat[gather].  ``min_eigs`` is -1/(2N), or +1/(2N)
-    where every column of B holds 1 on the diagonal, i.e. B = I; ``psd``
-    is that B = I mask.
+    with L = Lambda.flat[gather].
+
+    ``psd`` is the B = I mask and ``min_eigs`` is +1/(2N) on it and
+    -1/(2N) elsewhere.  B = I needs rows[q, m] = m, i.e. q = 2m (mod N),
+    for every m; m = 0 and m = 1 give N | 2, so N = 2.  That leaves q in
+    {0, 2}, where the diagonal entries root(p*q) * root(-2pm) are
+    root(pq) and root(p(q - 2)): both are 1 exactly when p is in {0, 2}.
+    So B = I holds only at N = 2 with q and p even.
     """
     k = np.arange(2 * n)
     m = np.arange(n)
     rows, _ = _point_entries(k, 0, n)
     gather = m * n + rows
     dft = _roots(n)[np.outer(-2 * m, k) % (2 * n)] / (2 * n)
-    min_eigs = np.full((2 * n, 2 * n), -1 / (2 * n))
-    # B = I needs rows[q, m] == m for every m, which leaves few rows to test
-    for q in np.flatnonzero((rows == m).all(axis=1)):
-        _, exponents = _point_entries(q, k, n)
-        deviation = np.abs(_roots(n)[exponents] - 1).max(axis=1)
-        min_eigs[q, deviation <= TOL_ALGEBRAIC] = 1 / (2 * n)
-    psd = min_eigs > 0
+    even = k % 2 == 0
+    psd = np.outer(even, even) & (n == 2)
+    min_eigs = np.where(psd, 1, -1) / (2 * n)
     for constant in (gather, dft, min_eigs, psd):
         constant.flags.writeable = False
     return gather, dft, min_eigs, psd

@@ -8,6 +8,11 @@ matrix), and ``verify`` (the seeded invariant suite).
 States are given as ``ket:<q0>``, ``sup:<q0>,<q1>,<phi-radians>``, or
 ``file:<path>`` pointing at a density-matrix JSON file.  Exit codes:
 0 success, 1 invariant failure, 2 input error, 3 consistency error.
+``main`` is the one place that maps an exception to an exit code:
+``InconsistentTableError`` and ``NonHermitianResultError`` exit 3, and
+every other library validation error (a ``ValueError``, or an
+``IndexError`` for a basis index) and every unreadable or unwritable path
+(an ``OSError``) exits 2, each with one ``error:`` line on stderr.
 
 The environment variable ``DWIGNER_TOL`` scales every input-validation
 tolerance by a finite positive factor (default 1); computational
@@ -26,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channels import InvalidChannelError, channel_wigner, unitary_propagator
+from .channels import channel_wigner, unitary_propagator
 from .io import (
     FLOAT_FMT,
     dump_json,
@@ -45,6 +50,7 @@ from .verify import run_checks
 from .wigner import (
     InconsistentTableError,
     NonHermitianResultError,
+    _require_even,
     basis_state,
     density_from_state,
     marginal_momentum,
@@ -61,7 +67,7 @@ EXIT_CONSISTENCY = 3
 
 
 class InputError(ValueError):
-    """Bad command-line input, state spec, or input file."""
+    """Bad command-line syntax: a spec, an option value, or a file of the wrong N."""
 
 
 def _tol_factor() -> float:
@@ -77,11 +83,6 @@ def _tol_factor() -> float:
     return factor
 
 
-def _require_even(n: int) -> None:
-    if n < 2 or n % 2 != 0:
-        raise InputError("N must be even and >= 2")
-
-
 def _parse_state(spec: str, n: int, tol_factor: float) -> np.ndarray:
     """Density matrix from a state spec string."""
     kind, sep, rest = spec.partition(":")
@@ -92,8 +93,6 @@ def _parse_state(spec: str, n: int, tol_factor: float) -> np.ndarray:
             q0 = int(rest)
         except ValueError as exc:
             raise InputError(f"malformed ket spec {spec!r}") from exc
-        if not 0 <= q0 < n:
-            raise InputError(f"ket index {q0} out of range for N={n}")
         return density_from_state(basis_state(q0, n))
     if kind == "sup":
         parts = rest.split(",")
@@ -106,49 +105,29 @@ def _parse_state(spec: str, n: int, tol_factor: float) -> np.ndarray:
             raise InputError(f"malformed sup spec {spec!r}") from exc
         if not math.isfinite(phi):
             raise InputError(f"sup phase must be finite, got {parts[2]!r}")
-        if not (0 <= q0 < n and 0 <= q1 < n):
-            raise InputError(f"sup indices ({q0}, {q1}) out of range for N={n}")
-        if q0 == q1:
-            raise InputError("sup indices must differ")
         return density_from_state(superposition_state(q0, q1, phi, n))
     if kind == "file":
-        obj = _load_json(rest)
-        try:
-            rho = matrix_from_json_obj(obj)
-            rho = validate_density(
-                rho,
+        rho = _load(
+            rest,
+            lambda text: validate_density(
+                matrix_from_json_obj(json.loads(text)),
                 herm_tol=1e-12 * tol_factor,
                 trace_tol=1e-12 * tol_factor,
                 psd_tol=1e-10 * tol_factor,
-            )
-        except ValueError as exc:
-            raise InputError(f"invalid density file {rest!r}: {exc}") from exc
+            ),
+        )
         if rho.shape[0] != n:
             raise InputError(f"density file has N={rho.shape[0]}, expected {n}")
         return rho
     raise InputError(f"unknown state kind {kind!r} (use ket:, sup:, or file:)")
 
 
-def _load_json(path: str) -> dict:
+def _load(path: str, parse):
+    """``parse`` applied to the UTF-8 text of a file; any failure names the path."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read JSON file {path!r}: {exc}") from exc
-
-
-def _load_table(path: str) -> np.ndarray:
-    p = Path(path)
-    try:
-        if p.suffix.lower() == ".json":
-            table = table_from_json_obj(_load_json(path))
-        else:
-            table = table_from_csv_text(p.read_text(encoding="utf-8"))
-    except InputError:
-        raise
+        return parse(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
-        raise InputError(f"cannot read table file {path!r}: {exc}") from exc
-    return table
+        raise InputError(f"cannot use file {path!r}: {exc}") from exc
 
 
 def _write_bytes(data: bytes, output: str | None) -> None:
@@ -164,9 +143,7 @@ def _render_table(table, fmt: str) -> bytes:
         return table_to_csv_text(table).encode("ascii")
     if fmt == "json":
         return dump_json(table_to_json_obj(table)).encode("ascii")
-    if fmt == "pgm":
-        return table_to_pgm_bytes(table)
-    raise InputError(f"unknown output format {fmt!r}")
+    return table_to_pgm_bytes(table)
 
 
 def _fmt_vector(values) -> str:
@@ -200,11 +177,12 @@ def _load_unitary(spec: str, n: int, tol_factor: float) -> np.ndarray:
         return np.eye(n, dtype=complex)
     kind, sep, path = spec.partition(":")
     if kind == "file" and sep:
-        obj = _load_json(path)
-        try:
-            u = validate_unitary(matrix_from_json_obj(obj), tol=1e-12 * tol_factor)
-        except ValueError as exc:
-            raise InputError(f"invalid unitary file {path!r}: {exc}") from exc
+        u = _load(
+            path,
+            lambda text: validate_unitary(
+                matrix_from_json_obj(json.loads(text)), tol=1e-12 * tol_factor
+            ),
+        )
         if u.shape[0] != n:
             raise InputError(f"unitary file has N={u.shape[0]}, expected {n}")
         return u
@@ -228,11 +206,7 @@ def cmd_evolve(args, tol_factor: float) -> int:
 def cmd_channel(args, tol_factor: float) -> int:
     _require_even(args.n)
     rho = _parse_state(args.state, args.n, tol_factor)
-    obj = _load_json(args.kraus)
-    try:
-        channel = kraus_from_json_obj(obj)
-    except ValueError as exc:
-        raise InputError(f"invalid Kraus file {args.kraus!r}: {exc}") from exc
+    channel = _load(args.kraus, lambda text: kraus_from_json_obj(json.loads(text)))
     if channel.n != args.n:
         raise InputError(f"Kraus file has N={channel.n}, expected {args.n}")
     table = channel_wigner(channel, rho, completeness_tol=1e-8 * tol_factor)
@@ -241,14 +215,16 @@ def cmd_channel(args, tol_factor: float) -> int:
 
 
 def cmd_reconstruct(args, tol_factor: float) -> int:
-    table = _load_table(args.input)
+    if Path(args.input).suffix.lower() == ".json":
+        table = _load(args.input, lambda text: table_from_json_obj(json.loads(text)))
+    else:
+        table = _load(args.input, table_from_csv_text)
     rho = reconstruct(table, symmetry_tol=1e-8 * tol_factor)
     _write_bytes(dump_json(matrix_to_json_obj(rho)).encode("ascii"), args.output)
     return EXIT_OK
 
 
 def cmd_verify(args, tol_factor: float) -> int:
-    _require_even(args.n)
     if args.seed < 0:
         raise InputError(f"seed must be nonnegative, got {args.seed}")
     outcomes = run_checks(args.n, seed=args.seed)
@@ -329,14 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        tol_factor = _tol_factor()
-        return args.func(args, tol_factor)
-    except (InputError, InvalidChannelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return args.func(args, _tol_factor())
     except (InconsistentTableError, NonHermitianResultError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONSISTENCY
+    except (ValueError, IndexError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ import warnings
 import numpy as np
 
 from .channels import KrausChannel
+from .matrix_core import as_complex_matrix
 from .wigner import table_dimension
 
 FLOAT_FMT = "%.17g"
@@ -115,17 +116,13 @@ def _matrix_from_pairs(rows) -> np.ndarray:
 
 
 def matrix_to_json_obj(m) -> dict:
-    arr = np.asarray(m, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    arr = as_complex_matrix(m)
     return {"n": arr.shape[0], "matrix": _matrix_to_pairs(arr)}
 
 
 def matrix_from_json_obj(obj) -> np.ndarray:
     _require_fields(obj, "matrix", n=int, matrix=list)
-    m = _matrix_from_pairs(obj["matrix"])
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    m = as_complex_matrix(_matrix_from_pairs(obj["matrix"]))
     if obj["n"] != m.shape[0]:
         raise ValueError(f"declared n={obj['n']} does not match a {m.shape} matrix")
     return m
@@ -140,15 +137,12 @@ def kraus_from_json_obj(obj) -> KrausChannel:
     n = obj["n"]
     if n < 1:
         raise ValueError(f"Kraus JSON 'n' must be positive, got {n}")
-    ops = []
-    for flat in obj["kraus"]:
-        data = _float_array(flat, "Kraus operators")
-        if data.ndim != 2 or data.shape != (n * n, 2):
-            raise ValueError(
-                f"each Kraus operator must be a flat row-major list of {n * n} [re, im] pairs"
-            )
-        ops.append((data[:, 0] + 1j * data[:, 1]).reshape(n, n))
-    return KrausChannel(ops)
+    data = _float_array(obj["kraus"], "Kraus operators")
+    if data.ndim != 3 or data.shape[1:] != (n * n, 2):
+        raise ValueError(
+            f"each Kraus operator must be a flat row-major list of {n * n} [re, im] pairs"
+        )
+    return KrausChannel((data[..., 0] + 1j * data[..., 1]).reshape(-1, n, n))
 
 
 def dump_json(obj) -> str:

@@ -382,7 +382,6 @@ CHECKS = (
 
 def run_checks(n: int, seed: int = 0) -> list[CheckOutcome]:
     """Run every registered check at dimension ``n`` with one seeded generator."""
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"N must be even and >= 2, got {n}")
+    wigner._require_even(n)
     rng = np.random.default_rng(seed)
     return [check(n, rng) for check in CHECKS]

@@ -64,7 +64,16 @@ class NotNormalizedError(ValueError):
 
 def _require_even(n: int) -> None:
     if n < 2 or n % 2 != 0:
-        raise OddDimensionError(f"dimension must be even and >= 2, got {n}")
+        raise OddDimensionError(f"N must be even and >= 2, got {n}")
+
+
+def _require_indices(n: int, *qs: int) -> None:
+    """Basis indices in [0, N) (IndexError), pairwise distinct when several."""
+    for q in qs:
+        if not 0 <= q < n:
+            raise IndexError(f"basis index {q} out of range for dimension {n}")
+    if len(set(qs)) < len(qs):
+        raise DegenerateSuperpositionError(f"superposition indices coincide: {qs}")
 
 
 def table_dimension(table) -> int:
@@ -85,8 +94,6 @@ def wigner_table(rho, imag_tol: float = 1e-10) -> np.ndarray:
     a non-Hermitian input or an operator bug upstream).
     """
     m = as_complex_matrix(rho)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
     n = m.shape[0]
     _require_even(n)
     core = _table_lemma(m)
@@ -189,8 +196,7 @@ def _table_inverse(table: np.ndarray) -> np.ndarray:
 
 def basis_state(q0: int, n: int) -> np.ndarray:
     """Position basis vector |q0> of dimension N."""
-    if not 0 <= q0 < n:
-        raise IndexError(f"basis index {q0} out of range for dimension {n}")
+    _require_indices(n, q0)
     v = np.zeros(n, dtype=complex)
     v[q0] = 1.0
     return v
@@ -198,8 +204,7 @@ def basis_state(q0: int, n: int) -> np.ndarray:
 
 def superposition_state(q0: int, q1: int, phi: float, n: int) -> np.ndarray:
     """Normalized two-term superposition (|q0> + exp(-i*phi) |q1>)/sqrt(2)."""
-    if q0 == q1:
-        raise DegenerateSuperpositionError(f"superposition indices coincide: {q0}")
+    _require_indices(n, q0, q1)
     return (basis_state(q0, n) + np.exp(-1j * phi) * basis_state(q1, n)) / np.sqrt(2.0)
 
 
@@ -221,8 +226,7 @@ def wigner_pure_position(q0: int, n: int) -> np.ndarray:
     ``wigner_table(|q0><q0|)`` to machine precision.
     """
     _require_even(n)
-    if not 0 <= q0 < n:
-        raise IndexError(f"basis index {q0} out of range for dimension {n}")
+    _require_indices(n, q0)
     w = np.zeros((2 * n, 2 * n))
     w[(2 * q0) % (2 * n), :] = 1.0 / (2 * n)
     signs = np.where(np.arange(2 * n) % 2 == 0, 1.0, -1.0)
@@ -242,10 +246,7 @@ def wigner_superposition(q0: int, q1: int, phi: float, n: int) -> np.ndarray:
     evaluation of the rank-1 density matrix.
     """
     _require_even(n)
-    if q0 == q1:
-        raise DegenerateSuperpositionError(f"superposition indices coincide: {q0}")
-    if not (0 <= q0 < n and 0 <= q1 < n):
-        raise IndexError(f"basis indices ({q0}, {q1}) out of range for dimension {n}")
+    _require_indices(n, q0, q1)
     w = 0.5 * (wigner_pure_position(q0, n) + wigner_pure_position(q1, n))
     for q in range(2 * n):
         q_tilde = q0 + q1 - q
@@ -266,10 +267,7 @@ def superposition_cross_term(
 
     The basis indices are validated as in ``wigner_superposition``.
     """
-    if q0 == q1:
-        raise DegenerateSuperpositionError(f"superposition indices coincide: {q0}")
-    if not (0 <= q0 < n and 0 <= q1 < n):
-        raise IndexError(f"basis indices ({q0}, {q1}) out of range for dimension {n}")
+    _require_indices(n, q0, q1)
     if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-12:
         raise NotNormalizedError(
             f"amplitudes not normalized: |a|^2+|b|^2 = {abs(a)**2 + abs(b)**2:.15g}"

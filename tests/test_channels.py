@@ -77,8 +77,10 @@ class TestKrausChannel:
             KrausChannel([])
 
     def test_requires_matching_shapes(self):
-        with pytest.raises(DimMismatchError):
-            KrausChannel([np.eye(2), np.eye(3)])
+        # ragged, 1-d operators, and a (K, N, M) family
+        for kraus in ([np.eye(2), np.eye(3)], [np.ones(2)], [np.ones(2)] * 2, np.ones((3, 2, 4))):
+            with pytest.raises(DimMismatchError):
+                KrausChannel(kraus)
 
     def test_accepts_stacked_array(self):
         rng = np.random.default_rng(13)

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from goldens import TABLE_N2_KET0
 from dwigner.cli import main
@@ -132,6 +136,13 @@ class TestWignerCommand:
         code, _, err = run(["wigner", "--n", "3", "--state", "ket:0"], capsys)
         assert code == 2
         assert "N must be even" in err
+
+    @pytest.mark.parametrize("spec", ["ket:-1", "ket:4", "sup:0,4,0.5", "sup:2,2,0.5"])
+    def test_bad_basis_indices_rejected(self, capsys, spec):
+        code, stdout, err = run(["wigner", "--n", "4", "--state", spec], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestMarginalsCommand:
@@ -452,4 +463,43 @@ class TestMalformedJsonInput:
         code, stdout, err = run([a.format(path=path) for a in args], capsys)
         assert code == 2
         assert stdout == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    @pytest.mark.parametrize("command", ["wigner", "evolve", "channel", "reconstruct"])
+    def test_exits_2_with_one_error_line(self, tmp_path, capsys, command, target):
+        table_path = tmp_path / "table.csv"
+        table_path.write_text(table_to_csv_text(TABLE_N2_KET0))
+        kraus_path = tmp_path / "kraus.json"
+        kraus_path.write_text(json.dumps({"n": 2, "kraus": KRAUS_N2_IDENTITY}))
+        state = ["--n", "2", "--state", "sup:0,1,0"]
+        args = {
+            "wigner": ["wigner", *state],
+            "evolve": ["evolve", *state, "--unitary", "fourier"],
+            "channel": ["channel", *state, "--kraus", str(kraus_path)],
+            "reconstruct": ["reconstruct", "--input", str(table_path)],
+        }[command]
+        output = tmp_path / "missing" / "out" if target == "missing-dir" else tmp_path
+        code, stdout, err = run([*args, "--output", str(output)], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(prefix=st.sampled_from(["ket:", "sup:", "file:", ""]), text=st.text(max_size=20))
+@example(prefix="file:", text="\x00")
+def test_state_spec_exits_0_or_2_with_one_error_line(prefix, text):
+    # the --state= form keeps a leading "-" from being read as an option
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["marginals", "--n", "4", "--state=" + prefix + text])
+    err = stderr.getvalue()
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 2
+        assert stdout.getvalue() == ""
         assert err.startswith("error:") and err.count("\n") == 1

@@ -13,7 +13,9 @@ from dwigner.matrix_core import (
     validate_density,
     validate_unitary,
 )
+from dwigner.channels import unitary_propagator
 from dwigner.phase_space import point_operator
+from dwigner.wigner import wigner_table
 
 
 class TestHermitianEig:
@@ -137,3 +139,15 @@ class TestChecksAndValidation:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             trace_product([np.array([[np.nan, 0], [0, 0]])])
+
+    @pytest.mark.parametrize(
+        "check",
+        [wigner_table, validate_density, validate_unitary, hermitian_eig, unitary_propagator,
+         is_hermitian, is_unitary],
+    )
+    @pytest.mark.parametrize(
+        "shape", [(2, 4), (4, 2), (4,), (1, 4, 4)], ids=["2x4", "4x2", "1-d", "3-d"]
+    )
+    def test_rejects_non_square(self, check, shape):
+        with pytest.raises(DimMismatchError):
+            check(np.zeros(shape))
