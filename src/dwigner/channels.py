@@ -4,9 +4,11 @@ A channel is a finite family of N x N matrices V_i with
 sum_i V_i* V_i = I, acting as rho -> sum_i V_i rho V_i*.  The module also
 provides the phase-space propagator of a unitary U, which implements
 conjugation by U directly on Wigner tables.  Its ``apply`` inverts a
-table through the row-wise FFT kernel of :mod:`dwigner.wigner` (one
-contraction with a cached kernel and one FFT per row), conjugates, and
-tabulates the core again, in O(N^3) time and O(N^2) memory.  The
+table through the row-wise DFT kernel of :mod:`dwigner.wigner` (one
+contraction with a cached kernel and one DFT per row: a product with a
+cached DFT matrix up to N = 16, where numpy's fixed cost per FFT call
+dominates, and one FFT call above), conjugates, and tabulates the core
+again, in O(N^3) time and O(N^2) memory.  The
 equivalent real 4N^2 x 4N^2 matrix
 
     Z[alpha, beta] = N tr(A(alpha) U A(beta) U*)
@@ -19,7 +21,9 @@ channel's Wigner value into a sum of traces.  Like ``channel_wigner``,
 its report over all 4N^2 points needs no stack: it is evaluated from the
 monomial entries of the point operators in O(N^3) time and O(N^2) memory.
 A channel keeps its Kraus family stacked, so its completeness residual and
-its action are one (KN x N)-shaped matrix product each.
+its action are one (KN x N)-shaped matrix product each; the residual is
+taken once per channel, and each ``apply_channel`` call compares it with
+its own tolerance.
 """
 
 from __future__ import annotations
@@ -86,10 +90,15 @@ class KrausChannel:
         """Max-norm deviation of sum_i V_i* V_i from the identity.
 
         The sum is one product of the K N x N operators stacked as a
-        KN x N matrix.
+        KN x N matrix, taken on the first call and kept: the family is a
+        read-only copy, so the value cannot go stale.
         """
-        stacked = self.kraus.reshape(-1, self.n)
-        return max_abs(adjoint(stacked) @ stacked - np.eye(self.n))
+        return self._residual
+
+    @cached_property
+    def _residual(self) -> float:
+        flat = self.kraus.reshape(-1, self.n)
+        return max_abs(adjoint(flat) @ flat - np.eye(self.n))
 
 
 def identity_channel(n: int) -> KrausChannel:
@@ -301,7 +310,7 @@ def adjoint_form_report(channel: KrausChannel, rho) -> list[dict]:
         tr(S* S Lambda) = tr(|A| Lambda) = tr(Lambda)/(2N).
 
     tr(B Lambda) is a sum over the monomial entries of B, evaluated for all
-    points as one N-term matrix product, independent of the FFT that
+    points as one N-term matrix product, independent of the row DFT that
     tabulates the Wigner value: O(N^3) time and O(N^2) memory.
     """
     n = channel.n

@@ -11,8 +11,9 @@ States are given as ``ket:<q0>``, ``sup:<q0>,<q1>,<phi-radians>``, or
 ``main`` is the one place that maps an exception to an exit code:
 ``InconsistentTableError`` and ``NonHermitianResultError`` exit 3, and
 every other library validation error (a ``ValueError``, or an
-``IndexError`` for a basis index) and every unreadable or unwritable path
-(an ``OSError``) exits 2, each with one ``error:`` line on stderr.
+``IndexError`` for a basis index), every unreadable or unwritable path
+(an ``OSError``) and an N too large for the available memory (a
+``MemoryError``) exits 2, each with one ``error:`` line on stderr.
 
 The environment variable ``DWIGNER_TOL`` scales every input-validation
 tolerance by a finite positive factor (default 1); computational
@@ -311,6 +312,10 @@ def main(argv=None) -> int:
         return EXIT_CONSISTENCY
     except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        at_n = f" at N={args.n}" if hasattr(args, "n") else ""
+        print(f"error: out of memory{at_n}: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

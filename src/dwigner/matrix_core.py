@@ -49,7 +49,7 @@ def max_abs(a) -> float:
     arr = np.asarray(a)
     if arr.size == 0:
         return 0.0
-    return float(np.max(np.abs(arr)))
+    return float(np.abs(arr).max())
 
 
 def is_hermitian(a, tol: float = TOL_ALGEBRAIC) -> bool:

@@ -27,8 +27,11 @@ the monomial entries of :mod:`dwigner.phase_space`, and every per-N index
 and phase table is cached read-only with its scale folded in.
 ``reconstruct`` inverts it exactly on the core, one forward DFT per row,
 and ``purity_residual`` compares a table with the table of the square of
-that inverse.  The trace against the dense point-operator stack, the sum over
-the full lattice and the three-point kernel Gamma are independent oracles
+that inverse.  The row DFTs have two arms: up to N = 16 they are one
+product with a cached N x N DFT matrix, because there numpy's fixed cost
+per FFT call outweighs the arithmetic; above it they are one FFT call.
+The trace against the dense point-operator stack, the sum over the full
+lattice and the three-point kernel Gamma are independent oracles
 for the tests and ``verify``, in :mod:`dwigner.reference`.
 """
 
@@ -87,7 +90,7 @@ def table_dimension(table) -> int:
 def wigner_table(rho, imag_tol: float = 1e-10) -> np.ndarray:
     """Wigner table of a density operator (or any Hermitian matrix).
 
-    Evaluates the matrix-element sum on the N x N core, one FFT per row,
+    Evaluates the matrix-element sum on the N x N core, one DFT per row,
     and extends the core by the sign rule.  Raises
     OddDimensionError for odd N and NonHermitianResultError if the
     imaginary residue of the evaluation exceeds ``imag_tol`` (which signals
@@ -105,7 +108,7 @@ def wigner_table(rho, imag_tol: float = 1e-10) -> np.ndarray:
     return _extend(core.real)
 
 
-# The per-N constants of the FFT kernel are cached read-only and pre-scaled:
+# The per-N constants of the row-DFT kernel are cached read-only and pre-scaled:
 # rebuilding them cost a large part of each small-N kernel call.  The bound
 # covers a few sizes in use at once.
 @lru_cache(maxsize=16)
@@ -143,7 +146,7 @@ def _wrap_index(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=8)
 def _core_kernels(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pre-scaled phase kernels of the row-wise FFT, read-only.
+    """Pre-scaled phase kernels of the row-wise DFT, read-only.
 
     ``table`` (N x N) turns the unnormalised inverse DFT of the wrapped rows
     into the table core.  ``inverse`` (N x N) turns a core into the spectra
@@ -160,17 +163,46 @@ def _core_kernels(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return table, inverse, fold
 
 
+# Largest N whose row DFT is a product with a cached DFT matrix.  Up to
+# here numpy's fixed cost per FFT call outweighs the N^3 product; above it
+# the FFT keeps O(N^2 log N).  The two cross near N = 48, but N = 32 stays
+# on the FFT so that the benchmark workloads run both arms.
+_MATRIX_DFT_MAX_N = 16
+
+
+@lru_cache(maxsize=16)
+def _dft_matrix(n: int, sign: int) -> np.ndarray:
+    """exp(sign * 2*pi*i*m*p/N) for 0 <= m, p < N, read-only."""
+    k = np.arange(n)
+    dft = _roots(n)[(sign * 2 * np.outer(k, k)) % (2 * n)]
+    dft.flags.writeable = False
+    return dft
+
+
+def _row_dft(x: np.ndarray, sign: int) -> np.ndarray:
+    """Unnormalised DFT of each row of an N x N array, exp(sign * 2*pi*i*m*p/N).
+
+    Sign +1 is numpy's ``ifft(norm="forward")``, sign -1 its ``fft``.
+    """
+    n = x.shape[1]
+    if n <= _MATRIX_DFT_MAX_N:
+        return x @ _dft_matrix(n, sign)
+    if sign > 0:
+        return np.fft.ifft(x, axis=1, norm="forward")
+    return np.fft.fft(x, axis=1)
+
+
 def _table_lemma(rho: np.ndarray) -> np.ndarray:
     """Complex N x N core of the table of rho; ``_extend`` gives the full table."""
     n = rho.shape[0]
     wrapped = rho.reshape(-1)[_wrap_index(n)[0]]
-    return np.fft.ifft(wrapped, axis=1, norm="forward") * _core_kernels(n)[0]
+    return _row_dft(wrapped, 1) * _core_kernels(n)[0]
 
 
 def _from_spectra(spectra: np.ndarray) -> np.ndarray:
     """The operator whose wrapped rows are the unnormalised DFTs of ``spectra``."""
     n = spectra.shape[0]
-    return np.fft.fft(spectra, axis=1).reshape(-1)[_wrap_index(n)[1]]
+    return _row_dft(spectra, -1).reshape(-1)[_wrap_index(n)[1]]
 
 
 def _core_inverse(core: np.ndarray) -> np.ndarray:
@@ -187,7 +219,7 @@ def _table_inverse(table: np.ndarray) -> np.ndarray:
     A(alpha) obeys the sign rule, so this is the core inverse of the
     sign-corrected mean of the four quadrants; for a table that obeys the
     rule, that mean is its core.  One contraction with the fold kernel and
-    one FFT per row.
+    one DFT per row.
     """
     n = table.shape[0] // 2
     spectra = (table.reshape(2, n, 2, n) * _core_kernels(n)[2]).sum(axis=(0, 2))
@@ -323,7 +355,7 @@ def reconstruct(table, symmetry_tol: float = 1e-8) -> np.ndarray:
     """Density operator from its Wigner table.
 
     Evaluates 4N * sum over the N x N core of W(alpha) A(alpha) as the
-    exact inverse of the row-wise FFT, in O(N^2 log N).  This equals
+    exact inverse of the row-wise DFT, in O(N^2 log N).  This equals
     N * sum over the whole lattice whenever the table satisfies the
     symmetry relation, which is checked first (InconsistentTableError
     beyond ``symmetry_tol``, or for a non-finite residual).

@@ -43,6 +43,10 @@ from dwigner.wigner import (
 )
 
 
+# sum V* V = (1 + 1e-6) I: between the default completeness tolerance and 1e-3
+NEARLY_COMPLETE = KrausChannel([np.sqrt(1 + 1e-6) * np.eye(6)])
+
+
 def eigh_sqrt_factor(q, p, n):
     """Principal square root of A(q, p) through its eigendecomposition."""
     decomp = hermitian_eig(point_operator(q, p, n))
@@ -225,6 +229,17 @@ class TestApplyChannel:
     def test_rejects_dim_mismatch(self):
         with pytest.raises(DimMismatchError):
             apply_channel(identity_channel(2), np.eye(3) / 3)
+
+    def test_completeness_tol_is_per_call(self):
+        # the residual is kept on the channel; the tolerance is not
+        assert NEARLY_COMPLETE.completeness_residual() == pytest.approx(1e-6, rel=1e-6)
+        rho = np.eye(6) / 6
+        with pytest.raises(InvalidChannelError):
+            apply_channel(NEARLY_COMPLETE, rho)
+        out = apply_channel(NEARLY_COMPLETE, rho, completeness_tol=1e-3)
+        assert max_abs(out - (1 + 1e-6) * rho) <= 1e-15
+        with pytest.raises(InvalidChannelError):
+            apply_channel(NEARLY_COMPLETE, rho)
 
 
 class TestChannelWigner:

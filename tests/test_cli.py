@@ -1,13 +1,19 @@
 import contextlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from goldens import TABLE_N2_KET0
+import dwigner
 from dwigner.cli import main
 from dwigner.io import (
     dump_json,
@@ -503,3 +509,96 @@ def test_state_spec_exits_0_or_2_with_one_error_line(prefix, text):
         assert code == 2
         assert stdout.getvalue() == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+class TestOutOfMemory:
+    def test_oversized_n_exits_2_with_one_error_line(self):
+        # the 20000 x 20000 density alone needs 6 GB, past a 2 GiB address space
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(dwigner.__file__).resolve().parent.parent),
+            OPENBLAS_NUM_THREADS="1",  # keeps BLAS start-up buffers well under the cap
+            OMP_NUM_THREADS="1",
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "dwigner.cli", "wigner", "--n", "20000", "--state", "ket:0"],
+            capture_output=True,
+            env=env,
+            preexec_fn=cap_address_space,
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"error: out of memory at N=20000")
+        assert proc.stderr.count(b"\n") == 1
+
+
+# valid tables at N = 2 and 4, single-cell mutations of their CSV text,
+# malformed rows and structures, non-finite values and raw text
+VALID_TABLES = [
+    wigner_table(density_from_state(superposition_state(0, 1, 0.3, 2))),
+    wigner_table(np.eye(4) / 4),
+]
+VALID_TABLE_TEXTS = [table_to_csv_text(w) for w in VALID_TABLES]
+CSV_CELLS = st.one_of(
+    st.floats().map(repr),
+    st.integers(-2, 2).map(str),
+    st.sampled_from(["", " ", "x", "1e999", "nan", "-inf", "--1", "0x1", "1,", '"1"']),
+)
+CSV_TEXTS = st.one_of(
+    st.lists(st.lists(CSV_CELLS, min_size=1, max_size=5), min_size=1, max_size=5).map(
+        lambda rows: "\n".join(",".join(row) for row in rows)
+    ),
+    st.sampled_from(VALID_TABLE_TEXTS),
+    st.tuples(st.sampled_from(VALID_TABLE_TEXTS), st.integers(0, 200), CSV_CELLS).map(
+        lambda t: t[0][: t[1]] + t[2] + t[0][t[1] + 1 :]
+    ),
+    st.text(max_size=40),
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 8) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner),
+    max_leaves=20,
+)
+TABLE_OBJECTS = st.fixed_dictionaries(
+    {
+        "n": st.integers(-1, 4) | JSON_VALUES,
+        "values": st.lists(st.lists(st.floats(), min_size=4, max_size=4), min_size=4, max_size=4)
+        | st.sampled_from([w.tolist() for w in VALID_TABLES])
+        | JSON_VALUES,
+    },
+    optional={"grid": st.sampled_from(["2N", "N"]) | JSON_VALUES},
+)
+JSON_TEXTS = st.one_of(
+    TABLE_OBJECTS.map(json.dumps),
+    JSON_VALUES.map(json.dumps),
+    st.text(max_size=40),
+)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    case=st.tuples(st.just(".csv"), CSV_TEXTS) | st.tuples(st.just(".json"), JSON_TEXTS)
+)
+def test_table_loaders_exit_0_2_or_3_with_one_error_line(tmp_path, capsysbinary, case):
+    suffix, text = case
+    path = tmp_path / f"table{suffix}"
+    path.write_text(text, encoding="utf-8")
+    capsysbinary.readouterr()
+    code = main(["reconstruct", "--input", str(path)])
+    out, err = capsysbinary.readouterr()
+    event(f"exit {code}")
+    if code == 0:
+        assert err == b""
+        assert np.isfinite(matrix_from_json_obj(json.loads(out))).all()
+    else:
+        assert code in (2, 3)
+        assert out == b""
+        assert err.startswith(b"error:") and err.count(b"\n") == 1

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from goldens import TABLE_N2_KET0, TABLE_N2_KET1, TABLES_N4
+from test_channels import NEARLY_COMPLETE
 from dwigner.channels import (
     _report_constants,
     adjoint_form_report,
@@ -33,6 +34,7 @@ from dwigner.sampling import (
     random_state_vector,
     random_unitary,
 )
+from dwigner.verify import run_checks
 from dwigner.wigner import (
     DegenerateSuperpositionError,
     InconsistentTableError,
@@ -40,8 +42,10 @@ from dwigner.wigner import (
     NotNormalizedError,
     OddDimensionError,
     _core_kernels,
+    _dft_matrix,
     _lattice_phases,
     _quadrant_signs,
+    _row_dft,
     _wrap_index,
     basis_state,
     density_from_state,
@@ -396,6 +400,9 @@ class TestFastPathProperties:
             lambda n: _report_constants(n)[1],
             lambda n: _report_constants(n)[2],
             lambda n: _report_constants(n)[3],
+            lambda n: _dft_matrix(n, 1),
+            lambda n: _dft_matrix(n, -1),
+            lambda n: NEARLY_COMPLETE.kraus,
         ),
     )
     def test_cached_kernel_constants_are_read_only(self, constant):
@@ -404,6 +411,43 @@ class TestFastPathProperties:
         with pytest.raises(ValueError):
             arr[0, ...] = 0
         assert constant(6) is arr
+
+
+class TestRowDftArms:
+    """Both arms of ``_row_dft``: a DFT-matrix product up to N = 16, np.fft above."""
+
+    DIMS = (2, 4, 6, 8, 16, 18, 32)
+
+    @pytest.mark.parametrize("sign", (1, -1))
+    @pytest.mark.parametrize("n", DIMS)
+    def test_matches_numpy_fft(self, n, sign):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        x /= np.linalg.norm(x)
+        expected = np.fft.ifft(x, axis=1, norm="forward") if sign > 0 else np.fft.fft(x, axis=1)
+        assert max_abs(_row_dft(x, sign) - expected) <= 1e-14
+
+    @pytest.mark.parametrize("n", DIMS)
+    def test_kernels_match_dense_oracles(self, n):
+        rng = np.random.default_rng(89 + n)
+        rho = random_density(n, rng)
+        u = random_unitary(n, rng)
+        w = wigner_table(rho)
+        assert max_abs(table_values(rho) - w) <= 1e-10
+        rho_full = reconstruct_full(w)
+        assert max_abs(reconstruct(w) - rho_full) <= 1e-10
+        oracle = max_abs(w - table_values(rho_full @ rho_full))
+        assert purity_residual(w) == pytest.approx(oracle, rel=1e-12, abs=1e-12)
+        prop = unitary_propagator(u)
+        assert max_abs(prop.apply(w) - table_values(u @ rho @ adjoint(u))) <= 1e-10
+        if n <= 18:  # Z has 16 N^4 entries: 268 MB of complex intermediate at N = 32
+            via_kernel = (prop.z @ w.reshape(-1)).reshape(2 * n, 2 * n)
+            assert max_abs(prop.apply(w) - via_kernel) <= 1e-12
+
+    @pytest.mark.parametrize("n", (16, 18))
+    def test_verify_passes(self, n):
+        failed = [o.name for o in run_checks(n, seed=0) if not o.passed]
+        assert failed == []
 
 
 class TestMarginals:
