@@ -8,18 +8,14 @@ table through the row-wise DFT kernel of :mod:`dwigner.wigner` (one
 contraction with a cached kernel and one DFT per row: a product with a
 cached DFT matrix up to N = 16, where numpy's fixed cost per FFT call
 dominates, and one FFT call above), conjugates, and tabulates the core
-again, in O(N^3) time and O(N^2) memory.  The
-equivalent real 4N^2 x 4N^2 matrix
-
-    Z[alpha, beta] = N tr(A(alpha) U A(beta) U*)
-
-is built from the dense point-operator stack only when ``z`` is first
-read; it serves as the oracle in the tests and ``verify``.  Last come the
-Fourier-conjugated channel with Kraus operators F V_i F*, and the
-per-point square-root decomposition M_i = sqrt(A) V_i that turns a
-channel's Wigner value into a sum of traces.  Like ``channel_wigner``,
-its report over all 4N^2 points needs no stack: it is evaluated from the
-monomial entries of the point operators in O(N^3) time and O(N^2) memory.
+again, in O(N^3) time and O(N^2) memory.  The equivalent dense
+4N^2 x 4N^2 kernel Z and the per-point square-root factors of the
+decomposition identities are oracles in :mod:`dwigner.reference`.  Last
+come the Fourier-conjugated channel with Kraus operators F V_i F*, and the
+report that compares, at every lattice point, a channel's Wigner value with
+its cyclic and adjoint square-root forms.  Like ``channel_wigner``, the
+report needs no point-operator stack: it is evaluated from the monomial
+entries of the point operators in O(N^3) time and O(N^2) memory.
 A channel keeps its Kraus family stacked, so its completeness residual and
 its action are one (KN x N)-shaped matrix product each; the residual is
 taken once per channel, and each ``apply_channel`` call compares it with
@@ -34,16 +30,14 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .matrix_core import (
-    TOL_ALGEBRAIC,
     DimMismatchError,
     adjoint,
     as_complex_matrix,
     max_abs,
     validate_unitary,
 )
-from .phase_space import _point_entries, _point_stack_full, _roots, point_operator
+from .phase_space import _point_entries, _roots
 from .wigner import (
-    NonHermitianResultError,
     _extend,
     _lattice_phases,
     _require_even,
@@ -57,13 +51,13 @@ class InvalidChannelError(ValueError):
     """Kraus family fails the trace-preservation identity."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """A finite Kraus family of equal-sized square matrices.
 
     Takes a sequence of N x N matrices or a (K, N, N) array and keeps the
     family as one read-only (K, N, N) complex array, the one that
-    ``apply_channel`` evaluates.
+    ``apply_channel`` evaluates.  Channels compare and hash by identity.
     """
 
     kraus: np.ndarray
@@ -158,17 +152,23 @@ def channel_wigner(channel: KrausChannel, rho, completeness_tol: float = 1e-8) -
     return wigner_table(apply_channel(channel, rho, completeness_tol))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PhasePropagator:
     """Conjugation rho -> U rho U* by a unitary U, acting on Wigner tables.
 
-    ``apply`` evaluates the map in O(N^3) time and O(N^2) memory without
-    the dense point-operator stack.  ``z`` is the same map as the real
-    4N^2 x 4N^2 matrix Z[alpha, beta] = N tr(A(alpha) U A(beta) U*) on
-    flattened tables (row-major grid order), built on first access.
+    U must be unitary within 1e-12 and of even dimension N; it is kept as
+    a read-only complex copy.  ``apply`` evaluates the map in O(N^3) time
+    and O(N^2) memory without the dense point-operator stack.  Propagators
+    compare and hash by identity.
     """
 
     u: np.ndarray
+
+    def __post_init__(self) -> None:
+        mat = np.array(validate_unitary(self.u))
+        _require_even(mat.shape[0])
+        mat.flags.writeable = False
+        object.__setattr__(self, "u", mat)
 
     @property
     def n(self) -> int:
@@ -177,10 +177,10 @@ class PhasePropagator:
     def apply(self, table) -> np.ndarray:
         """Table of U rho U* with rho = N * sum over the full lattice of W A.
 
-        For every real table this equals ``z @ table.reshape(-1)``; rho is
-        the core inverse of the sign-corrected quadrant mean, taken in one
-        contraction, so no symmetry check is applied.  U rho U* is
-        tabulated on the core and extended by the sign rule.
+        For every real table this equals Z @ table.reshape(-1) with Z from
+        ``reference.propagator_kernel``; rho is the core inverse of the
+        sign-corrected quadrant mean, taken in one contraction, so no symmetry
+        check is applied.  U rho U* is tabulated and extended by the sign rule.
         """
         w = np.asarray(table, dtype=float)
         if w.shape != (2 * self.n, 2 * self.n):
@@ -192,34 +192,13 @@ class PhasePropagator:
         rho = _table_inverse(w)
         return _extend(_table_lemma(self.u @ rho @ adjoint(self.u)).real)
 
-    @cached_property
-    def z(self) -> np.ndarray:
-        """The 4N^2 x 4N^2 kernel; an imaginary residue above 1e-12 raises."""
-        n = self.n
-        stack = _point_stack_full(n)
-        conjugated = self.u @ stack @ adjoint(self.u)
-        z = n * (
-            stack.reshape(4 * n * n, n * n)
-            @ conjugated.transpose(0, 2, 1).reshape(4 * n * n, n * n).T
-        )
-        residue = max_abs(z.imag)
-        if residue > TOL_ALGEBRAIC:
-            raise NonHermitianResultError(
-                f"propagator has imaginary residue {residue:.3e}"
-            )
-        return z.real.copy()
-
 
 def unitary_propagator(u) -> PhasePropagator:
     """Phase-space propagator of a unitary U on even dimension N.
 
-    Applying it to the table of rho yields the table of U rho U*.  Only U
-    is validated here; the kernel ``z`` is built on first access, where an
-    imaginary residue above 1e-12 raises.
+    Applying it to the table of rho yields the table of U rho U*.
     """
-    mat = validate_unitary(u)
-    _require_even(mat.shape[0])
-    return PhasePropagator(u=mat)
+    return PhasePropagator(u)
 
 
 def fourier_conjugate_channel(channel: KrausChannel, f) -> KrausChannel:
@@ -231,33 +210,6 @@ def fourier_conjugate_channel(channel: KrausChannel, f) -> KrausChannel:
             f"{channel.n}x{channel.n}"
         )
     return KrausChannel(mat @ channel.kraus @ adjoint(mat))
-
-
-def point_sqrt_factor(q: int, p: int, n: int) -> np.ndarray:
-    """S with S @ S = A(q, p), the principal square root.
-
-    B = 2N A(q, p) is Hermitian with eigenvalues +-1, so P+- = (I +- B)/2
-    are its spectral projectors and S = (P+ + i P-)/sqrt(2N) in closed
-    form.  Where A(q, p) has negative eigenvalues S is no longer Hermitian;
-    S @ S = A holds regardless.
-    """
-    doubled = 2 * n * point_operator(q, p, n)
-    return ((1 + 1j) * np.eye(n) + (1 - 1j) * doubled) / (2 * np.sqrt(2 * n))
-
-
-def fano_sqrt_decomposition(
-    channel: KrausChannel, q: int, p: int
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Operators M_i = S V_i with S the square-root factor of A(q, p).
-
-    The cyclic identity sum_i tr(S V_i rho V_i* S) = W_{channel(rho)}(q, p)
-    holds at every lattice point.  The adjoint form sum_i tr(M_i rho M_i*)
-    agrees with it exactly when A(q, p) is positive semidefinite (S is then
-    Hermitian); off the PSD cone it evaluates sum_i tr(|A| V_i rho V_i*)
-    instead, so the two forms differ.
-    """
-    s = point_sqrt_factor(q, p, channel.n)
-    return [s @ v for v in channel.kraus], s
 
 
 # Per-N constants of adjoint_form_report, O(N^2) and read-only.

@@ -153,9 +153,9 @@ def _point_stack(n: int, side: int) -> np.ndarray:
     return stack
 
 
-# The dense stacks hold 4N^2 * N^2 (or N^4) complex entries.  Only a
-# propagator's kernel ``z`` and the reference oracles use them; a small
-# bound keeps a process that sweeps N from pinning every stack it built.
+# The dense stacks hold 4N^2 * N^2 (or N^4) complex entries.  Only the
+# reference oracles and ``point_operator_stack`` use them; a small bound
+# keeps a process that sweeps N from pinning every stack it built.
 @lru_cache(maxsize=4)
 def _point_stack_full(n: int) -> np.ndarray:
     return _point_stack(n, 2 * n)

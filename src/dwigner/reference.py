@@ -1,17 +1,20 @@
 """Reference evaluations from the dense point-operator stack.
 
-Each function evaluates a quantity straight from its definition as a
-trace against the stack of point operators, independently of the row-wise
-FFT kernel of :mod:`dwigner.wigner`.  They cost O(N^4) memory or more and
-serve only as oracles for the tests and ``verify``; no production path
-imports this module.
+Each function evaluates a quantity straight from its definition, as a
+trace against point operators or their closed-form square roots,
+independently of the row-wise DFT kernel of :mod:`dwigner.wigner` and of
+``PhasePropagator.apply``.  The stack-based ones cost O(N^4) memory or
+more, and the propagator kernel Z costs 16 N^4 entries.  They serve only
+as oracles for the tests and ``verify``; no production path imports this
+module.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .matrix_core import trace_product
+from .channels import KrausChannel
+from .matrix_core import adjoint, trace_product
 from .phase_space import _point_stack_core, _point_stack_full, point_operator
 
 # Prefactor 16*N^2 of the Gamma-kernel form of the purity constraint,
@@ -55,3 +58,48 @@ def gamma_tensor(n: int) -> np.ndarray:
     core = _point_stack_core(n)
     pairs = np.einsum("bij,cjk->bcik", core, core)
     return np.einsum("aij,bcji->abc", full, pairs)
+
+
+def propagator_kernel(u) -> np.ndarray:
+    """Real 4N^2 x 4N^2 kernel Z[alpha, beta] = N tr(A(alpha) U A(beta) U*).
+
+    Z is conjugation by U on flattened tables (row-major grid order), the
+    dense counterpart of ``PhasePropagator.apply``.  The real part is
+    returned; the imaginary part vanishes up to roundoff for unitary U.
+    """
+    mat = np.asarray(u, dtype=complex)
+    n = mat.shape[0]
+    stack = _point_stack_full(n)
+    conjugated = mat @ stack @ adjoint(mat)
+    z = n * (
+        stack.reshape(4 * n * n, n * n)
+        @ conjugated.transpose(0, 2, 1).reshape(4 * n * n, n * n).T
+    )
+    return z.real.copy()
+
+
+def point_sqrt_factor(q: int, p: int, n: int) -> np.ndarray:
+    """S with S @ S = A(q, p), the principal square root.
+
+    B = 2N A(q, p) is Hermitian with eigenvalues +-1, so P+- = (I +- B)/2
+    are its spectral projectors and S = (P+ + i P-)/sqrt(2N) in closed
+    form.  Where A(q, p) has negative eigenvalues S is no longer Hermitian;
+    S @ S = A holds regardless.
+    """
+    doubled = 2 * n * point_operator(q, p, n)
+    return ((1 + 1j) * np.eye(n) + (1 - 1j) * doubled) / (2 * np.sqrt(2 * n))
+
+
+def fano_sqrt_decomposition(
+    channel: KrausChannel, q: int, p: int
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Operators M_i = S V_i with S the square-root factor of A(q, p).
+
+    The cyclic identity sum_i tr(S V_i rho V_i* S) = W_{channel(rho)}(q, p)
+    holds at every lattice point.  The adjoint form sum_i tr(M_i rho M_i*)
+    agrees with it exactly when A(q, p) is positive semidefinite (S is then
+    Hermitian); off the PSD cone it evaluates sum_i tr(|A| V_i rho V_i*)
+    instead, so the two forms differ.
+    """
+    s = point_sqrt_factor(q, p, channel.n)
+    return [s @ v for v in channel.kraus], s

