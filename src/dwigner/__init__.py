@@ -10,7 +10,6 @@ name stays importable from its submodule.
 
 from .channels import (
     KrausChannel,
-    PhasePropagator,
     adjoint_form_report,
     channel_wigner,
     stochastic_channel,
@@ -33,7 +32,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "KrausChannel",
-    "PhasePropagator",
     "adjoint_form_report",
     "basis_state",
     "channel_wigner",

@@ -1,36 +1,39 @@
 """Kraus channels and their action on states and Wigner tables.
 
 A channel is a finite family of N x N matrices V_i with
-sum_i V_i* V_i = I, acting as rho -> sum_i V_i rho V_i*.  The module also
-provides the phase-space propagator of a unitary U, which implements
-conjugation by U directly on Wigner tables.  Its ``apply`` inverts a
-table through the row-wise DFT kernel of :mod:`dwigner.wigner` (one
-contraction with a cached kernel and one DFT per row: a product with a
-cached DFT matrix up to N = 16, where numpy's fixed cost per FFT call
-dominates, and one FFT call above), conjugates, and tabulates the core
-again, in O(N^3) time and O(N^2) memory.  The equivalent dense
-4N^2 x 4N^2 kernel Z and the per-point square-root factors of the
-decomposition identities are oracles in :mod:`dwigner.reference`.  Last
-come the Fourier-conjugated channel with Kraus operators F V_i F*, and the
-report that compares, at every lattice point, a channel's Wigner value with
-its cyclic and adjoint square-root forms.  Like ``channel_wigner``, the
-report needs no point-operator stack: it is evaluated from the monomial
-entries of the point operators in O(N^3) time and O(N^2) memory.
-A channel keeps its Kraus family stacked, so its completeness residual and
-its action are one (KN x N)-shaped matrix product each; the residual is
-taken once per channel, and each ``apply_channel`` call compares it with
-its own tolerance.
+sum_i V_i* V_i = I, acting as rho -> sum_i V_i rho V_i*.  It keeps the
+family stacked, so its completeness residual and its action are one
+(KN x N)-shaped matrix product each; the residual is taken once per
+channel, and every application compares it with its own tolerance.
+``apply_channel`` maps states, and ``KrausChannel.apply`` maps Wigner
+tables: it inverts a table through the row-wise DFT kernel of
+:mod:`dwigner.wigner` (one contraction with a cached kernel and one DFT
+per row: a product with a cached DFT matrix up to N = 16, where numpy's
+fixed cost per FFT call dominates, and one FFT call above), applies the
+same Kraus sum, and tabulates the core again, in O(KN^3) time and O(N^2)
+memory.  Iterated, it is the quantum iterated function system of the
+channel on tables.  The propagator of a unitary U is the one-term channel
+{U}.  The dense 4N^2 x 4N^2 kernel Z of a unitary and the per-point
+square-root factors of the decomposition identities are oracles in
+:mod:`dwigner.reference`.  Last come the Fourier-conjugated channel with
+Kraus operators F V_i F*, and the report that compares, at every lattice
+point, a channel's Wigner value with its cyclic and adjoint square-root
+forms.  Like ``channel_wigner``, the report needs no point-operator stack:
+it is evaluated from the monomial entries of the point operators in
+O(N^3) time and O(N^2) memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from .matrix_core import (
+    TOL_ALGEBRAIC,
     DimMismatchError,
+    NotUnitaryError,
     adjoint,
     as_complex_matrix,
     max_abs,
@@ -41,6 +44,7 @@ from .wigner import (
     _extend,
     _lattice_phases,
     _require_even,
+    _require_finite_table,
     _table_inverse,
     _table_lemma,
     wigner_table,
@@ -57,7 +61,8 @@ class KrausChannel:
 
     Takes a sequence of N x N matrices or a (K, N, N) array and keeps the
     family as one read-only (K, N, N) complex array, the one that
-    ``apply_channel`` evaluates.  Channels compare and hash by identity.
+    ``apply_channel`` and ``apply`` evaluate.  Channels compare and hash by
+    identity.
     """
 
     kraus: np.ndarray
@@ -79,20 +84,51 @@ class KrausChannel:
         stacked.flags.writeable = False
         object.__setattr__(self, "kraus", stacked)
         object.__setattr__(self, "n", stacked.shape[1])
+        flat = stacked.reshape(-1, self.n)
+        object.__setattr__(self, "_residual", max_abs(adjoint(flat) @ flat - np.eye(self.n)))
 
     def completeness_residual(self) -> float:
         """Max-norm deviation of sum_i V_i* V_i from the identity.
 
         The sum is one product of the K N x N operators stacked as a
-        KN x N matrix, taken on the first call and kept: the family is a
-        read-only copy, so the value cannot go stale.
+        KN x N matrix, taken once when the channel is built: the family is
+        a read-only copy, so the value cannot go stale.
         """
         return self._residual
 
-    @cached_property
-    def _residual(self) -> float:
-        flat = self.kraus.reshape(-1, self.n)
-        return max_abs(adjoint(flat) @ flat - np.eye(self.n))
+    def _act(self, m: np.ndarray, completeness_tol: float) -> np.ndarray:
+        """sum_i V_i m V_i* for an N x N complex m, once the family passes
+        the trace-preservation check at ``completeness_tol``.
+
+        The sum is one (N x KN)(KN x N) product: X[a, (i, b)] = (V_i m)[a, b]
+        against the conjugate of Y[c, (i, b)] = V_i[c, b].
+        """
+        if self._residual > completeness_tol:
+            raise InvalidChannelError(
+                f"channel is not trace preserving (residual {self._residual:.3e})"
+            )
+        ops = self.kraus
+        n, k = self.n, len(ops)
+        terms = (ops @ m).transpose(1, 0, 2).reshape(n, k * n)
+        return terms @ ops.transpose(1, 0, 2).reshape(n, k * n).conj().T
+
+    def apply(self, table, completeness_tol: float = 1e-8) -> np.ndarray:
+        """Table of Lambda(rho) with rho = N * sum over the full lattice of W A.
+
+        Works on any real 2N x 2N table at even N: rho is the core inverse of
+        the sign-corrected quadrant mean, so no symmetry check is applied.
+        Lambda(rho) is the Kraus sum of ``apply_channel``, under the same
+        trace-preservation check.  For one Kraus operator U this equals
+        Z @ table.reshape(-1) with Z from ``reference.propagator_kernel``.
+        """
+        _require_even(self.n)
+        w = np.asarray(table, dtype=float)
+        if w.shape != (2 * self.n, 2 * self.n):
+            raise DimMismatchError(
+                f"expected a {2 * self.n}x{2 * self.n} table, got shape {w.shape}"
+            )
+        _require_finite_table(w)
+        return _extend(_table_lemma(self._act(_table_inverse(w), completeness_tol)).real)
 
 
 def identity_channel(n: int) -> KrausChannel:
@@ -122,25 +158,13 @@ def depolarizing_channel(n: int) -> KrausChannel:
 
 
 def apply_channel(channel: KrausChannel, rho, completeness_tol: float = 1e-8) -> np.ndarray:
-    """sum_i V_i rho V_i*; validates dimensions and trace preservation.
-
-    The sum is one (N x KN)(KN x N) product: X[a, (i, b)] = (V_i rho)[a, b]
-    against the conjugate of Y[c, (i, b)] = V_i[c, b].
-    """
+    """sum_i V_i rho V_i*; validates dimensions and trace preservation."""
     m = as_complex_matrix(rho)
     if m.shape != (channel.n, channel.n):
         raise DimMismatchError(
             f"state is {m.shape}, channel acts on {channel.n}x{channel.n}"
         )
-    residual = channel.completeness_residual()
-    if residual > completeness_tol:
-        raise InvalidChannelError(
-            f"channel is not trace preserving (residual {residual:.3e})"
-        )
-    ops = channel.kraus
-    n, k = channel.n, len(ops)
-    terms = (ops @ m).transpose(1, 0, 2).reshape(n, k * n)
-    return terms @ ops.transpose(1, 0, 2).reshape(n, k * n).conj().T
+    return channel._act(m, completeness_tol)
 
 
 def channel_wigner(channel: KrausChannel, rho, completeness_tol: float = 1e-8) -> np.ndarray:
@@ -152,53 +176,21 @@ def channel_wigner(channel: KrausChannel, rho, completeness_tol: float = 1e-8) -
     return wigner_table(apply_channel(channel, rho, completeness_tol))
 
 
-@dataclass(frozen=True, eq=False)
-class PhasePropagator:
-    """Conjugation rho -> U rho U* by a unitary U, acting on Wigner tables.
+def unitary_propagator(u) -> KrausChannel:
+    """The one-term channel rho -> U rho U* of a unitary U on even dimension N.
 
-    U must be unitary within 1e-12 and of even dimension N; it is kept as
-    a read-only complex copy.  ``apply`` evaluates the map in O(N^3) time
-    and O(N^2) memory without the dense point-operator stack.  Propagators
-    compare and hash by identity.
+    U must be unitary within 1e-12 and N even.  U*U - I is the completeness
+    residual of {U}, so the check reads the one the channel takes.  Applying
+    the channel to the table of rho yields the table of U rho U*.
     """
-
-    u: np.ndarray
-
-    def __post_init__(self) -> None:
-        mat = np.array(validate_unitary(self.u))
-        _require_even(mat.shape[0])
-        mat.flags.writeable = False
-        object.__setattr__(self, "u", mat)
-
-    @property
-    def n(self) -> int:
-        return self.u.shape[0]
-
-    def apply(self, table) -> np.ndarray:
-        """Table of U rho U* with rho = N * sum over the full lattice of W A.
-
-        For every real table this equals Z @ table.reshape(-1) with Z from
-        ``reference.propagator_kernel``; rho is the core inverse of the
-        sign-corrected quadrant mean, taken in one contraction, so no symmetry
-        check is applied.  U rho U* is tabulated and extended by the sign rule.
-        """
-        w = np.asarray(table, dtype=float)
-        if w.shape != (2 * self.n, 2 * self.n):
-            raise DimMismatchError(
-                f"expected a {2 * self.n}x{2 * self.n} table, got shape {w.shape}"
-            )
-        if not np.isfinite(w).all():
-            raise ValueError("table entries must be finite")
-        rho = _table_inverse(w)
-        return _extend(_table_lemma(self.u @ rho @ adjoint(self.u)).real)
-
-
-def unitary_propagator(u) -> PhasePropagator:
-    """Phase-space propagator of a unitary U on even dimension N.
-
-    Applying it to the table of rho yields the table of U rho U*.
-    """
-    return PhasePropagator(u)
+    channel = KrausChannel([u])
+    residual = channel.completeness_residual()
+    if residual > TOL_ALGEBRAIC:
+        raise NotUnitaryError(
+            f"matrix is not unitary within {TOL_ALGEBRAIC:g} (residual {residual:.3e})"
+        )
+    _require_even(channel.n)
+    return channel
 
 
 def fourier_conjugate_channel(channel: KrausChannel, f) -> KrausChannel:

@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: ``wigner`` (table of a state), ``marginals``, ``evolve``
-(unitary evolution through the phase-space propagator), ``channel``
-(one Kraus-channel application), ``reconstruct`` (table back to a density
-matrix), and ``verify`` (the seeded invariant suite).
+(steps of a unitary U, applied to the table as the one-term channel {U}),
+``channel`` (one Kraus-channel application), ``reconstruct`` (table back
+to a density matrix), and ``verify`` (the seeded invariant suite).
 
 States are given as ``ket:<q0>``, ``sup:<q0>,<q1>,<phi-radians>``, or
 ``file:<path>`` pointing at a density-matrix JSON file.  Exit codes:
@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channels import channel_wigner, unitary_propagator
+from .channels import KrausChannel, channel_wigner
 from .io import (
     FLOAT_FMT,
     dump_json,
@@ -195,11 +195,11 @@ def cmd_evolve(args, tol_factor: float) -> int:
     if args.steps < 1:
         raise InputError(f"steps must be positive, got {args.steps}")
     rho = _parse_state(args.state, args.n, tol_factor)
-    u = _load_unitary(args.unitary, args.n, tol_factor)
-    propagator = unitary_propagator(u)
+    # not unitary_propagator: its fixed 1e-12 would undo DWIGNER_TOL's scaling
+    propagator = KrausChannel([_load_unitary(args.unitary, args.n, tol_factor)])
     table = wigner_table(rho, imag_tol=1e-10 * tol_factor)
     for _ in range(args.steps):
-        table = propagator.apply(table)
+        table = propagator.apply(table, completeness_tol=1e-8 * tol_factor)
     _write_bytes(_render_table(table, args.format), args.output)
     return EXIT_OK
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .channels import KrausChannel
 from .matrix_core import as_complex_matrix
-from .wigner import table_dimension
+from .wigner import _require_finite_table, table_dimension
 
 FLOAT_FMT = "%.17g"
 
@@ -48,11 +48,6 @@ def table_to_csv_text(table) -> str:
     return "".join([",".join(row) + "\n" for row in rows])
 
 
-def _require_finite(w: np.ndarray) -> None:
-    if not np.isfinite(w).all():
-        raise ValueError("table entries must be finite")
-
-
 def table_from_csv_text(text: str) -> np.ndarray:
     with warnings.catch_warnings():
         # text without data rows (empty, blank or comments only) warns and
@@ -60,7 +55,7 @@ def table_from_csv_text(text: str) -> np.ndarray:
         warnings.simplefilter("ignore", UserWarning)
         w = np.atleast_2d(np.loadtxt(_stdio.StringIO(text), delimiter=","))
     table_dimension(w)
-    _require_finite(w)
+    _require_finite_table(w)
     return w
 
 
@@ -99,7 +94,7 @@ def table_from_json_obj(obj) -> np.ndarray:
         raise ValueError(f"declared n={obj['n']} does not match a {w.shape} table")
     if obj.get("grid", "2N") != "2N":
         raise ValueError(f"unsupported grid {obj.get('grid')!r}")
-    _require_finite(w)
+    _require_finite_table(w)
     return w
 
 

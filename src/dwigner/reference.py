@@ -3,7 +3,7 @@
 Each function evaluates a quantity straight from its definition, as a
 trace against point operators or their closed-form square roots,
 independently of the row-wise DFT kernel of :mod:`dwigner.wigner` and of
-``PhasePropagator.apply``.  The stack-based ones cost O(N^4) memory or
+``KrausChannel.apply``.  The stack-based ones cost O(N^4) memory or
 more, and the propagator kernel Z costs 16 N^4 entries.  They serve only
 as oracles for the tests and ``verify``; no production path imports this
 module.
@@ -64,8 +64,9 @@ def propagator_kernel(u) -> np.ndarray:
     """Real 4N^2 x 4N^2 kernel Z[alpha, beta] = N tr(A(alpha) U A(beta) U*).
 
     Z is conjugation by U on flattened tables (row-major grid order), the
-    dense counterpart of ``PhasePropagator.apply``.  The real part is
-    returned; the imaginary part vanishes up to roundoff for unitary U.
+    dense counterpart of ``unitary_propagator(u).apply``, the table map of
+    the one-term channel {U}.  The real part is returned; the imaginary
+    part vanishes up to roundoff for unitary U.
     """
     mat = np.asarray(u, dtype=complex)
     n = mat.shape[0]

@@ -81,8 +81,9 @@ def _check_weyl_roundtrip(n, rng):
 
 
 def _check_point_hermiticity(n, rng):
-    stack = phase_space.point_operator_stack(n)
-    worst = max_abs(stack - stack.conj().swapaxes(-1, -2))
+    # a quarter of the stack at a time, so that no temporary is stack-sized
+    quarters = phase_space._point_stack_full(n).reshape(4, n * n, n, n)
+    worst = max(max_abs(ops - ops.conj().swapaxes(-1, -2)) for ops in quarters)
     return _residual_outcome("phase_space.point_hermiticity", worst, 1e-12)
 
 
@@ -91,36 +92,37 @@ def _check_point_fourier_form(n, rng):
     # for every point at once: a forward FFT over lam' gives the q axis and
     # an inverse FFT over lam the p axis, checked against the closed form
     lam = np.arange(2 * n)
-    t_stack = phase_space.translation_operator(lam[:, None], lam, n)
-    summed = np.fft.ifft(np.fft.fft(t_stack, axis=1), axis=0) / (2 * n)
+    t_spectra = np.fft.fft(phase_space.translation_operator(lam[:, None], lam, n), axis=1)
+    summed = np.fft.ifft(t_spectra, axis=0)
+    del t_spectra
+    summed /= 2 * n
     # summed is indexed [p, q]; the stack runs over (q, p) in row-major order
-    stack = phase_space.point_operator_stack(n)
-    worst = max_abs(summed.swapaxes(0, 1).reshape(stack.shape) - stack)
+    summed -= phase_space._point_stack_full(n).reshape(2 * n, 2 * n, n, n).swapaxes(0, 1)
+    worst = max_abs(summed)
     return _residual_outcome("phase_space.point_fourier_form", worst, 1e-10)
 
 
 def _check_point_symmetry(n, rng):
     # every point of the full lattice, indexed [sq, q, sp, p] as (q + sq*N, p + sp*N)
-    q, p = np.indices((2 * n, 2 * n))
-    ops = phase_space.point_operator(q, p, n).reshape(2, n, 2, n, n, n)
+    ops = phase_space._point_stack_full(n).reshape(2, n, 2, n, n, n)
     sq, qc, sp, pc = np.indices((2, n, 2, n))
     sign = (-1.0) ** ((sp * qc + sq * pc + sq * sp * n) % 2)
-    base = ops[0, :, 0, :][None, :, None, :]
-    worst = max_abs(ops - sign[..., None, None] * base)
+    expected = sign[..., None, None] * ops[0, :, 0, :][None, :, None, :]
+    expected -= ops
+    worst = max_abs(expected)
     return _residual_outcome("phase_space.point_symmetry", worst, 1e-12)
 
 
 def _check_point_orthogonality(n, rng):
-    stack = phase_space.point_operator_stack(n, grid="core")
+    stack = phase_space._point_stack_core(n)
     # G[a, b] = tr(A_a A_b) = sum_ij A_a[i, j] A_b[j, i], all pairs in one product
     gram = stack.reshape(n * n, n * n) @ stack.transpose(0, 2, 1).reshape(n * n, n * n).T
     q, p = np.array(phase_space.core_points(n)).T
     expected = (
         ((q[:, None] - q) % n == 0) & ((p[:, None] - p) % n == 0)
     ) / (4 * n)
-    return _residual_outcome(
-        "phase_space.point_orthogonality", max_abs(gram - expected), 1e-12
-    )
+    gram -= expected
+    return _residual_outcome("phase_space.point_orthogonality", max_abs(gram), 1e-12)
 
 
 def _check_reflection_fourier(n, rng):

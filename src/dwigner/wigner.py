@@ -79,6 +79,11 @@ def _require_indices(n: int, *qs: int) -> None:
         raise DegenerateSuperpositionError(f"superposition indices coincide: {qs}")
 
 
+def _require_finite_table(w: np.ndarray) -> None:
+    if not np.isfinite(w).all():
+        raise ValueError("table entries must be finite")
+
+
 def table_dimension(table) -> int:
     """Recover N from a 2N x 2N table, validating the shape."""
     w = np.asarray(table, dtype=float)
@@ -305,9 +310,10 @@ def superposition_cross_term(
 
 
 def symmetry_residual(table) -> float:
-    """Max deviation of a table from its own core extension."""
+    """Max deviation of a table from its own core extension; N must be even."""
     w = np.asarray(table, dtype=float)
     n = table_dimension(w)
+    _require_even(n)
     return max_abs(w - _extend(w[:n, :n]))
 
 
@@ -353,8 +359,9 @@ def reconstruct(table, symmetry_tol: float = 1e-8) -> np.ndarray:
     Evaluates 4N * sum over the N x N core of W(alpha) A(alpha) as the
     exact inverse of the row-wise DFT, in O(N^2 log N).  This equals
     N * sum over the whole lattice whenever the table satisfies the
-    symmetry relation, which is checked first (InconsistentTableError
-    beyond ``symmetry_tol``, or for a non-finite residual).
+    symmetry relation, which is checked first (OddDimensionError for odd N,
+    InconsistentTableError beyond ``symmetry_tol``, or for a non-finite
+    residual).
     """
     w = np.asarray(table, dtype=float)
     n = table_dimension(w)
@@ -420,11 +427,12 @@ def purity_residual(table) -> float:
     with Gamma the three-point trace kernel.  With rho_c = 4N sum_core W A
     the operator recovered from the core, the double sum equals
     tr(A(alpha) rho_c^2), so the quadratic side is the table of rho_c^2 and
-    costs O(N^3) instead of a 4N^6 kernel.  No symmetry check is applied.
-    Vanishes (to roundoff) exactly for tables of pure states; strictly
-    positive for properly mixed ones.
+    costs O(N^3) instead of a 4N^6 kernel.  No symmetry check is applied,
+    but N must be even.  Vanishes (to roundoff) exactly for tables of pure
+    states; strictly positive for properly mixed ones.
     """
     w = np.asarray(table, dtype=float)
     n = table_dimension(w)
+    _require_even(n)
     rho = _core_inverse(w[:n, :n])
     return max_abs(w - _extend(_table_lemma(rho @ rho)))

@@ -8,7 +8,6 @@ import pytest
 from dwigner.channels import (
     InvalidChannelError,
     KrausChannel,
-    PhasePropagator,
     adjoint_form_report,
     apply_channel,
     channel_wigner,
@@ -27,6 +26,8 @@ from dwigner.matrix_core import (
     trace_product,
 )
 from dwigner.phase_space import (
+    _point_stack_core,
+    _point_stack_full,
     fourier_matrix,
     full_points,
     point_operator,
@@ -36,10 +37,18 @@ from dwigner.reference import (
     fano_sqrt_decomposition,
     point_sqrt_factor,
     propagator_kernel,
+    reconstruct_full,
     table_values,
 )
 from dwigner.sampling import random_density, random_kraus_channel, random_unitary
-from dwigner.verify import _check_gamma_invariance, _check_propagator
+from dwigner.verify import (
+    _check_gamma_invariance,
+    _check_point_fourier_form,
+    _check_point_hermiticity,
+    _check_point_orthogonality,
+    _check_point_symmetry,
+    _check_propagator,
+)
 from dwigner.wigner import (
     OddDimensionError,
     basis_state,
@@ -291,22 +300,75 @@ class TestChannelWigner:
         assert max_abs(w_out[1::2, :]) <= 1e-12
 
 
+class TestChannelTableMap:
+    """``KrausChannel.apply``: the table of Lambda(rho(W)) for any real table."""
+
+    @pytest.mark.parametrize("n", (2, 4, 6, 8, 16, 18, 32))
+    def test_matches_channel_wigner(self, n):
+        rng = np.random.default_rng(300 + n)
+        ch = random_kraus_channel(n, 3, rng)
+        rho = random_density(n, rng)
+        assert max_abs(ch.apply(wigner_table(rho)) - channel_wigner(ch, rho)) <= 1e-15
+
+    @pytest.mark.parametrize("n", (2, 4, 6, 8, 16, 18))
+    def test_asymmetric_tables_against_full_lattice_sum(self, n):
+        # rho(W) is N * sum over the full lattice of W A, with no symmetry check
+        rng = np.random.default_rng(320 + n)
+        ch = random_kraus_channel(n, 3, rng)
+        for _ in range(3):
+            w = rng.standard_normal((2 * n, 2 * n))
+            expected = wigner_table(apply_channel(ch, reconstruct_full(w)))
+            assert max_abs(ch.apply(w) - expected) <= 1e-12
+
+    def test_trace_preservation_rule_of_apply_channel(self):
+        # refused at the default tolerance, accepted at a looser one, as in
+        # apply_channel
+        w = wigner_table(np.eye(6) / 6)
+        with pytest.raises(InvalidChannelError):
+            NEARLY_COMPLETE.apply(w)
+        loose = NEARLY_COMPLETE.apply(w, completeness_tol=1e-3)
+        assert max_abs(loose - channel_wigner(NEARLY_COMPLETE, np.eye(6) / 6, 1e-3)) <= 1e-15
+
+    @pytest.mark.parametrize("n", (2, 4, 6, 8))
+    def test_stochastic_iteration_reaches_its_attractor(self, n):
+        # the QIFS of stochastic_channel(P) sends every state to diag(pi),
+        # with P pi = pi; pi from an independent eigensolve
+        rng = np.random.default_rng(340 + n)
+        p = rng.uniform(size=(n, n)) + 0.1
+        p /= p.sum(axis=0)
+        values, vectors = np.linalg.eig(p)
+        pi = vectors[:, np.argmin(abs(values - 1))].real
+        pi /= pi.sum()
+        ch = stochastic_channel(p)
+        w = wigner_table(random_density(n, rng))
+        for _ in range(100):
+            w = ch.apply(w)
+        assert max_abs(w - wigner_table(np.diag(pi))) <= 1e-12
+
+
 class TestUnitaryPropagator:
     def test_rejects_non_unitary(self):
-        for make in (unitary_propagator, PhasePropagator):
-            for u in (np.diag([1.0, 2.0]), 2 * np.eye(2), np.ones((3, 3))):
-                with pytest.raises(NotUnitaryError):
-                    make(u)
+        # the constructor checks U; a one-term channel built directly from a
+        # non-unitary operator is refused when applied, at its even N
+        for u, refused in (
+            (np.diag([1.0, 2.0]), InvalidChannelError),
+            (2 * np.eye(2), InvalidChannelError),
+            (np.ones((3, 3)), OddDimensionError),
+        ):
+            with pytest.raises(NotUnitaryError):
+                unitary_propagator(u)
+            with pytest.raises(refused):
+                KrausChannel([u]).apply(np.zeros((4, 4)))
 
     def test_u_is_the_evaluated_unitary(self):
         # the stored U is a read-only copy, like a channel's Kraus family
         u = fourier_matrix(2)
-        prop = PhasePropagator(u)
+        prop = unitary_propagator(u)
         w = wigner_table(density_from_state(basis_state(0, 2)))
         before = prop.apply(w)
         u[0, 0] = 0.0
         with pytest.raises(ValueError):
-            prop.u[0, 0] = 0.0
+            prop.kraus[0][0, 0] = 0.0
         assert np.array_equal(prop.apply(w), before)
 
     def test_identity_acts_as_identity_on_tables(self):
@@ -352,7 +414,7 @@ class TestUnitaryPropagator:
         # symmetric tables of states and arbitrary real 2N x 2N tables alike
         rng = np.random.default_rng(43 + n)
         prop = unitary_propagator(random_unitary(n, rng))
-        z = propagator_kernel(prop.u)
+        z = propagator_kernel(prop.kraus[0])
         tables = [wigner_table(random_density(n, rng)) for _ in range(3)]
         tables.extend(rng.standard_normal((2 * n, 2 * n)) for _ in range(3))
         for w in tables:
@@ -360,27 +422,34 @@ class TestUnitaryPropagator:
             assert max_abs(prop.apply(w) - via_kernel) <= 1e-12
 
     def test_apply_rejects_wrong_shape(self):
-        prop = unitary_propagator(np.eye(2))
-        with pytest.raises(DimMismatchError):
-            prop.apply(np.zeros((6, 6)))
+        # the propagator and a four-term channel share one table map
+        for ch in (unitary_propagator(np.eye(2)), depolarizing_channel(2)):
+            with pytest.raises(DimMismatchError):
+                ch.apply(np.zeros((6, 6)))
 
     @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
     def test_apply_rejects_non_finite(self, bad):
         w = wigner_table(density_from_state(basis_state(0, 2)))
         w[1, 3] = bad
-        with pytest.raises(ValueError, match="table entries must be finite"):
-            unitary_propagator(fourier_matrix(2)).apply(w)
+        for ch in (unitary_propagator(fourier_matrix(2)), depolarizing_channel(2)):
+            with pytest.raises(ValueError, match="table entries must be finite"):
+                ch.apply(w)
 
     def test_rejects_odd_dimension(self):
-        for make in (unitary_propagator, PhasePropagator):
+        with pytest.raises(OddDimensionError):
+            unitary_propagator(fourier_matrix(3))
+        for ch in (KrausChannel([fourier_matrix(3)]), depolarizing_channel(3)):
             with pytest.raises(OddDimensionError):
-                make(fourier_matrix(3))
+                ch.apply(np.zeros((6, 6)))
 
     def test_tolerances_are_not_settable(self):
         # the kernel and report tolerances are fixed, not caller options
         assert list(inspect.signature(unitary_propagator).parameters) == ["u"]
         assert list(inspect.signature(adjoint_form_report).parameters) == ["channel", "rho"]
-        assert [f.name for f in dataclasses.fields(PhasePropagator)] == ["u"]
+        assert [f.name for f in dataclasses.fields(unitary_propagator(np.eye(2)))] == [
+            "kraus",
+            "n",
+        ]
 
     def test_gamma_invariance_n2(self):
         # literal triple contraction of Z against the full kernel tensor
@@ -404,6 +473,30 @@ class TestUnitaryPropagator:
         ((_check_propagator, 80 * 2**20), (_check_gamma_invariance, 4 * 2**20)),
     )
     def test_verify_checks_build_no_kernel(self, check, bound):
+        tracemalloc.start()
+        try:
+            outcome = check(32, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outcome.passed
+        assert peak < bound
+
+    @pytest.mark.parametrize(
+        "check, bound",
+        # the 64 MiB full stack (16 MiB core) is cached before the check runs;
+        # the Fourier form holds the translation stack and its transform, the
+        # symmetry check one stack-sized expected array
+        (
+            (_check_point_hermiticity, 40 * 2**20),
+            (_check_point_fourier_form, 136 * 2**20),
+            (_check_point_symmetry, 104 * 2**20),
+            (_check_point_orthogonality, 40 * 2**20),
+        ),
+    )
+    def test_verify_point_checks_copy_no_stack(self, check, bound):
+        _point_stack_full(32)
+        _point_stack_core(32)
         tracemalloc.start()
         try:
             outcome = check(32, np.random.default_rng(0))

@@ -359,6 +359,15 @@ class TestReconstructCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "finite" in err
 
+    def test_odd_n_table_exits_2(self, tmp_path, capsys):
+        # a 6 x 6 table has N = 3, where the sign rule does not hold
+        table_path = tmp_path / "six.csv"
+        table_path.write_text(table_to_csv_text(np.zeros((6, 6))))
+        code, stdout, err = run(["reconstruct", "--input", str(table_path)], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert err == "error: N must be even and >= 2, got 3\n"
+
     def test_large_n_roundtrip(self, tmp_path, capsys):
         table_path = tmp_path / "table.csv"
         code, _, _ = run(
@@ -415,6 +424,24 @@ class TestToleranceEnv:
         monkeypatch.setenv("DWIGNER_TOL", "1e5")
         code, _, _ = run(["wigner", "--n", "2", "--state", f"file:{state_file}"], capsys)
         assert code == 0
+
+    def test_scales_evolve_unitarity(self, tmp_path, capsys, monkeypatch):
+        # U = I with U[0, 0] = 1 + 1e-10 fails the 1e-12 unitarity check and
+        # passes once DWIGNER_TOL loosens it, in every evolve step as well
+        u = np.eye(4, dtype=complex)
+        u[0, 0] = 1 + 1e-10
+        u_file = tmp_path / "u.json"
+        u_file.write_text(dump_json(matrix_to_json_obj(u)))
+        args = ["evolve", "--n", "4", "--state", "ket:0", "--unitary", f"file:{u_file}"]
+        code, _, err = run(args, capsys)
+        assert code == 2
+        assert "not unitary" in err
+        monkeypatch.setenv("DWIGNER_TOL", "1000")
+        code, stdout, err = run([*args, "--steps", "3"], capsys)
+        assert code == 0
+        assert err == ""
+        evolved = table_from_csv_text(stdout)
+        assert max_abs(evolved - wigner_table(density_from_state(basis_state(0, 4)))) <= 1e-9
 
     def test_rejects_bad_factor(self, capsys, monkeypatch):
         monkeypatch.setenv("DWIGNER_TOL", "-1")

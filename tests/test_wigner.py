@@ -341,6 +341,13 @@ class TestReconstruction:
         with pytest.raises(InconsistentTableError):
             reconstruct(w)
 
+    @pytest.mark.parametrize("size", (2, 6, 10))
+    @pytest.mark.parametrize("consumer", (reconstruct, purity_residual, symmetry_residual))
+    def test_odd_n_table_rejected(self, consumer, size):
+        # the sign rule holds only for even N, so its consumers refuse N = 1, 3, 5
+        with pytest.raises(OddDimensionError):
+            consumer(np.zeros((size, size)))
+
 
 class TestFastPathProperties:
     """Identities of the FFT path at random even N <= 64, where no dense oracle fits."""
