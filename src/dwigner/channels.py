@@ -103,7 +103,7 @@ class KrausChannel:
         The sum is one (N x KN)(KN x N) product: X[a, (i, b)] = (V_i m)[a, b]
         against the conjugate of Y[c, (i, b)] = V_i[c, b].
         """
-        if self._residual > completeness_tol:
+        if not self._residual <= completeness_tol:
             raise InvalidChannelError(
                 f"channel is not trace preserving (residual {self._residual:.3e})"
             )
@@ -144,7 +144,7 @@ def stochastic_channel(p_matrix) -> KrausChannel:
     p = np.asarray(p_matrix, dtype=float)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ValueError(f"expected a square stochastic matrix, got shape {p.shape}")
-    if np.any(p < 0) or max_abs(p.sum(axis=0) - 1.0) > 1e-12:
+    if np.any(p < 0) or not max_abs(p.sum(axis=0) - 1.0) <= 1e-12:
         raise ValueError("matrix must be column stochastic (nonnegative, columns sum to 1)")
     n = p.shape[0]
     # operator i*N + j holds its one entry at flat index i*N + j, so the
@@ -185,7 +185,7 @@ def unitary_propagator(u) -> KrausChannel:
     """
     channel = KrausChannel([u])
     residual = channel.completeness_residual()
-    if residual > TOL_ALGEBRAIC:
+    if not residual <= TOL_ALGEBRAIC:
         raise NotUnitaryError(
             f"matrix is not unitary within {TOL_ALGEBRAIC:g} (residual {residual:.3e})"
         )

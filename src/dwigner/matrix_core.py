@@ -4,7 +4,8 @@ Every quantity handled here is O(1): rationals and roots of unity at
 dimensions of a few hundred at most.  Comparisons therefore use absolute
 max-norm tolerances, with two tiers: ``TOL_ALGEBRAIC`` for identities that
 are exact up to roundoff, and ``TOL_EIG`` for identities mediated by an
-eigendecomposition.
+eigendecomposition.  Each rejection is written ``not residual <= tol``, so
+that a residual which overflowed to NaN is rejected too.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def hermitian_eig(a, tol: float = TOL_EIG) -> EigenDecomposition:
     """
     m = as_complex_matrix(a)
     residual = max_abs(m - adjoint(m))
-    if residual > tol:
+    if not residual <= tol:
         raise NotHermitianError(
             f"matrix is not Hermitian within {tol:g} (residual {residual:.3e})"
         )
@@ -118,7 +119,7 @@ def validate_unitary(u, tol: float = TOL_ALGEBRAIC) -> np.ndarray:
     """Return ``u`` as a complex array, raising NotUnitaryError if U*U != I."""
     m = as_complex_matrix(u)
     residual = max_abs(adjoint(m) @ m - np.eye(m.shape[0]))
-    if residual > tol:
+    if not residual <= tol:
         raise NotUnitaryError(f"matrix is not unitary within {tol:g} (residual {residual:.3e})")
     return m
 
@@ -135,15 +136,15 @@ def validate_density(
     """
     m = as_complex_matrix(rho)
     herm_residual = max_abs(m - adjoint(m))
-    if herm_residual > herm_tol:
+    if not herm_residual <= herm_tol:
         raise NotHermitianError(
             f"density operator not Hermitian within {herm_tol:g} (residual {herm_residual:.3e})"
         )
     tr = complex(np.trace(m))
-    if abs(tr - 1.0) > trace_tol:
+    if not abs(tr - 1.0) <= trace_tol:
         raise ValueError(f"density operator trace is {tr:.15g}, expected 1")
     min_eig = float(np.linalg.eigvalsh(0.5 * (m + adjoint(m))).min())
-    if min_eig < -psd_tol:
+    if not min_eig >= -psd_tol:
         raise ValueError(
             f"density operator not positive semidefinite (min eigenvalue {min_eig:.3e})"
         )

@@ -3,15 +3,21 @@
 ``run_checks(n, seed)`` exercises every invariant the library relies on at
 one even dimension: Weyl algebra, phase-point operator structure, Wigner
 table properties, reconstruction, marginals, line projectors, purity, and
-channel/propagator consistency.  Each check reports a measured residual
-against its tolerance; the CLI turns the outcomes into pass/fail lines.
-Independent evaluations come from :mod:`dwigner.reference`; its propagator
-kernel Z (16 N^4 entries) and square-root factors are left to the tests.
+channel/propagator consistency.  Each residual check is a generator that
+yields its residuals, arrays or scalars, and is registered in ``CHECKS``
+under a name and a tolerance by ``@_check``.  One runner takes the
+max-norm of everything a check yields and passes the check when it is at
+most the tolerance; the max-norm keeps NaN, so a NaN residual fails.
+``_check_mixing`` and ``_check_purity`` build their own outcomes.  The CLI
+turns the outcomes into pass/fail lines.  Independent evaluations come
+from :mod:`dwigner.reference`; its propagator kernel Z (16 N^4 entries)
+and square-root factors are left to the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 
 import numpy as np
 
@@ -26,12 +32,32 @@ class CheckOutcome:
     detail: str
 
 
-def _residual_outcome(name: str, residual: float, tol: float) -> CheckOutcome:
-    return CheckOutcome(
-        name=name,
-        passed=residual <= tol,
-        detail=f"residual {residual:.3e} (tol {tol:.1e})",
-    )
+CHECKS: list = []
+
+
+def _register(check):
+    CHECKS.append(check)
+    return check
+
+
+def _check(name: str, tol: float):
+    """Register a generator of residuals as the check ``name`` at ``tol``.
+
+    The registered function runs the generator to the end, takes the
+    max-norm of all it yields (NaN if any entry is NaN) and passes when
+    that is at most ``tol``.
+    """
+
+    def register(residuals):
+        @wraps(residuals)
+        def run(n, rng) -> CheckOutcome:
+            # map lets each yielded array go before the next is made
+            worst = max_abs(np.fromiter(map(max_abs, residuals(n, rng)), float))
+            return CheckOutcome(name, worst <= tol, f"residual {worst:.3e} (tol {tol:.1e})")
+
+        return _register(run)
+
+    return register
 
 
 def _powers(m, count):
@@ -45,48 +71,49 @@ def _powers(m, count):
     return np.stack(out)
 
 
+@_check("weyl.commutation", 1e-12)
 def _check_weyl_commutation(n, rng):
-    worst = 0.0
     k = np.arange(n)
     phases = np.exp(2j * np.pi * np.outer(k, k) / n)[..., None, None]
     for cfg in (weyl.WeylConfig(n), weyl.WeylConfig(n, alpha_u=0.3, alpha_v=0.7)):
         # U^n1 V^n2 against V^n2 U^n1 for all pairs, indexed [n1, n2]
         us = _powers(weyl.clock_operator(cfg), n)[:, None]
         vs = _powers(weyl.shift_operator(cfg), n)[None, :]
-        worst = max(worst, max_abs(us @ vs - phases * (vs @ us)))
-    return _residual_outcome("weyl.commutation", worst, 1e-12)
+        yield us @ vs - phases * (vs @ us)
 
 
+@_check("weyl.orthogonality", 1e-12)
 def _check_weyl_orthogonality(n, rng):
     k = np.arange(n)
     flat = weyl.weyl_operator(weyl.WeylConfig(n), k[:, None], k).reshape(n * n, n * n)
     # Gram matrix G[a, b] = tr(W_a* W_b) of all pairs in one product
     gram = flat.conj() @ flat.T
-    return _residual_outcome("weyl.orthogonality", max_abs(gram - n * np.eye(n * n)), 1e-12)
+    yield gram - n * np.eye(n * n)
 
 
+@_check("weyl.adjoint", 1e-12)
 def _check_weyl_adjoint(n, rng):
     cfg = weyl.WeylConfig(n)
     k = np.arange(n)
     ops = weyl.weyl_operator(cfg, k[:, None], k)
-    worst = max_abs(ops.conj().swapaxes(-1, -2) - weyl.weyl_operator(cfg, -k[:, None], -k))
-    return _residual_outcome("weyl.adjoint", worst, 1e-12)
+    yield ops.conj().swapaxes(-1, -2) - weyl.weyl_operator(cfg, -k[:, None], -k)
 
 
+@_check("weyl.expand_roundtrip", 1e-10)
 def _check_weyl_roundtrip(n, rng):
     cfg = weyl.WeylConfig(n)
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    back = weyl.weyl_synthesize(cfg, weyl.weyl_expand(cfg, a))
-    return _residual_outcome("weyl.expand_roundtrip", max_abs(back - a), 1e-10)
+    yield weyl.weyl_synthesize(cfg, weyl.weyl_expand(cfg, a)) - a
 
 
+@_check("phase_space.point_hermiticity", 1e-12)
 def _check_point_hermiticity(n, rng):
     # a quarter of the stack at a time, so that no temporary is stack-sized
-    quarters = phase_space._point_stack_full(n).reshape(4, n * n, n, n)
-    worst = max(max_abs(ops - ops.conj().swapaxes(-1, -2)) for ops in quarters)
-    return _residual_outcome("phase_space.point_hermiticity", worst, 1e-12)
+    for ops in phase_space._point_stack_full(n).reshape(4, n * n, n, n):
+        yield ops - ops.conj().swapaxes(-1, -2)
 
 
+@_check("phase_space.point_fourier_form", 1e-10)
 def _check_point_fourier_form(n, rng):
     # A(q, p) = (2N)^-2 sum_{lam, lam'} exp(-2 pi i (lam' q - lam p) / 2N) T(lam, lam')
     # for every point at once: a forward FFT over lam' gives the q axis and
@@ -98,10 +125,10 @@ def _check_point_fourier_form(n, rng):
     summed /= 2 * n
     # summed is indexed [p, q]; the stack runs over (q, p) in row-major order
     summed -= phase_space._point_stack_full(n).reshape(2 * n, 2 * n, n, n).swapaxes(0, 1)
-    worst = max_abs(summed)
-    return _residual_outcome("phase_space.point_fourier_form", worst, 1e-10)
+    yield summed
 
 
+@_check("phase_space.point_symmetry", 1e-12)
 def _check_point_symmetry(n, rng):
     # every point of the full lattice, indexed [sq, q, sp, p] as (q + sq*N, p + sp*N)
     ops = phase_space._point_stack_full(n).reshape(2, n, 2, n, n, n)
@@ -109,10 +136,10 @@ def _check_point_symmetry(n, rng):
     sign = (-1.0) ** ((sp * qc + sq * pc + sq * sp * n) % 2)
     expected = sign[..., None, None] * ops[0, :, 0, :][None, :, None, :]
     expected -= ops
-    worst = max_abs(expected)
-    return _residual_outcome("phase_space.point_symmetry", worst, 1e-12)
+    yield expected
 
 
+@_check("phase_space.point_orthogonality", 1e-12)
 def _check_point_orthogonality(n, rng):
     stack = phase_space._point_stack_core(n)
     # G[a, b] = tr(A_a A_b) = sum_ij A_a[i, j] A_b[j, i], all pairs in one product
@@ -122,183 +149,155 @@ def _check_point_orthogonality(n, rng):
         ((q[:, None] - q) % n == 0) & ((p[:, None] - p) % n == 0)
     ) / (4 * n)
     gram -= expected
-    return _residual_outcome("phase_space.point_orthogonality", max_abs(gram), 1e-12)
+    yield gram
 
 
+@_check("phase_space.reflection_fourier", 1e-12)
 def _check_reflection_fourier(n, rng):
     f = phase_space.fourier_matrix(n)
     r = phase_space.reflection_operator(n)
-    u = phase_space.position_shift(n)
-    v = phase_space.momentum_shift(n)
-    worst = max_abs(f @ f - r)
-    worst = max(worst, max_abs(u @ r - r @ adjoint(u)))
-    worst = max(worst, max_abs(v @ r - r @ adjoint(v)))
-    return _residual_outcome("phase_space.reflection_fourier", worst, 1e-12)
+    yield f @ f - r
+    for shift in (phase_space.position_shift(n), phase_space.momentum_shift(n)):
+        yield shift @ r - r @ adjoint(shift)
 
 
+@_check("phase_space.translation_power", 1e-12)
 def _check_translation_power(n, rng):
     q, p = np.array(((1, 0), (0, 1), (1, 1), (1, 2))).T
     lam = np.arange(2 * n)
     direct = phase_space.translation_operator(np.outer(q, lam), np.outer(p, lam), n)
     powers = _powers(phase_space.translation_operator(q, p, n), 2 * n)
-    worst = max_abs(direct - powers.swapaxes(0, 1))
-    return _residual_outcome("phase_space.translation_power", worst, 1e-12)
+    yield direct - powers.swapaxes(0, 1)
 
 
+@_check("phase_space.line_projector_idempotent", 1e-10)
 def _check_line_projectors(n, rng):
-    worst = 0.0
     for n1, n2 in ((1, 0), (0, 1), (1, 1)):
         for n3 in range(2 * n):
             proj = phase_space.line_projector(phase_space.PhaseLine(n1, n2, n3, n))
-            worst = max(worst, max_abs(proj - adjoint(proj)))
-            worst = max(worst, max_abs(proj @ proj - proj))
-    return _residual_outcome("phase_space.line_projector_idempotent", worst, 1e-10)
+            yield proj - adjoint(proj)
+            yield proj @ proj - proj
 
 
+@_check("wigner.table_realness", 1e-12)
 def _check_table_realness(n, rng):
-    worst = 0.0
     for _ in range(5):
-        rho = sampling.random_density(n, rng)
-        worst = max(worst, max_abs(reference.table_values(rho).imag))
-    return _residual_outcome("wigner.table_realness", worst, 1e-12)
+        yield reference.table_values(sampling.random_density(n, rng)).imag
 
 
+@_check("wigner.lemma_vs_trace", 1e-10)
 def _check_lemma_vs_trace(n, rng):
-    worst = 0.0
     for _ in range(5):
         rho = sampling.random_density(n, rng)
-        worst = max(worst, max_abs(reference.table_values(rho) - wigner.wigner_table(rho)))
-    return _residual_outcome("wigner.lemma_vs_trace", worst, 1e-10)
+        yield reference.table_values(rho) - wigner.wigner_table(rho)
 
 
+@_check("wigner.odd_rows_diagonal_states", 1e-12)
 def _check_odd_rows(n, rng):
     # entrywise vanishing holds for position-diagonal states; for general
     # states only the odd row/column sums vanish (see _check_marginals)
-    worst = 0.0
     diag = rng.random(n)
-    rho = np.diag(diag / diag.sum()).astype(complex)
-    worst = max(worst, max_abs(wigner.wigner_table(rho)[1::2, :]))
+    yield wigner.wigner_table(np.diag(diag / diag.sum()).astype(complex))[1::2, :]
     for q0 in range(n):
-        w = wigner.wigner_table(wigner.density_from_state(wigner.basis_state(q0, n)))
-        worst = max(worst, max_abs(w[1::2, :]))
-    return _residual_outcome("wigner.odd_rows_diagonal_states", worst, 1e-12)
+        yield wigner.wigner_table(wigner.density_from_state(wigner.basis_state(q0, n)))[1::2, :]
 
 
+@_check("wigner.symmetry_extension", 1e-12)
 def _check_symmetry_extension(n, rng):
-    worst = 0.0
     for _ in range(5):
-        w = wigner.wigner_table(sampling.random_density(n, rng))
-        worst = max(worst, wigner.symmetry_residual(w))
+        yield wigner.symmetry_residual(wigner.wigner_table(sampling.random_density(n, rng)))
     core = rng.standard_normal((n, n))
-    ext = wigner.extend_by_symmetry(core)
-    worst = max(worst, max_abs(wigner.restrict_to_core(ext) - core))
-    return _residual_outcome("wigner.symmetry_extension", worst, 1e-12)
+    yield wigner.restrict_to_core(wigner.extend_by_symmetry(core)) - core
 
 
+@_check("wigner.marginals", 1e-10)
 def _check_marginals(n, rng):
     f = phase_space.fourier_matrix(n)
-    worst = 0.0
     for _ in range(10):
         rho = sampling.random_density(n, rng)
         w = wigner.wigner_table(rho)
-        pos = wigner.marginal_position(w)
-        mom = wigner.marginal_momentum(w)
-        worst = max(worst, max_abs(pos - np.diag(rho).real))
-        worst = max(worst, max_abs(mom - np.diag(adjoint(f) @ rho @ f).real))
-        odd_rows = np.array([w[2 * q + 1, :].sum() for q in range(n)])
-        odd_cols = np.array([w[:, 2 * p + 1].sum() for p in range(n)])
-        worst = max(worst, max_abs(odd_rows), max_abs(odd_cols))
-    return _residual_outcome("wigner.marginals", worst, 1e-10)
+        yield wigner.marginal_position(w) - np.diag(rho).real
+        yield wigner.marginal_momentum(w) - np.diag(adjoint(f) @ rho @ f).real
+        yield np.array([w[2 * q + 1, :].sum() for q in range(n)])
+        yield np.array([w[:, 2 * p + 1].sum() for p in range(n)])
 
 
+@_check("wigner.w_transform", 1e-10)
 def _check_w_transform(n, rng):
-    worst = 0.0
     for _ in range(5):
         psi = sampling.random_state_vector(n, rng)
-        phi = wigner.w_transform(psi)
-        worst = max(worst, max_abs(phi[:n] - wigner.momentum_distribution(psi)))
-    return _residual_outcome("wigner.w_transform", worst, 1e-10)
+        yield wigner.w_transform(psi)[:n] - wigner.momentum_distribution(psi)
 
 
+@_check("wigner.overlap_identity", 1e-10)
 def _check_overlap(n, rng):
-    worst = 0.0
     for _ in range(5):
         rho1 = sampling.random_density(n, rng)
         rho2 = sampling.random_density(n, rng)
         lhs = np.trace(rho1 @ rho2).real
-        rhs = wigner.table_overlap(wigner.wigner_table(rho1), wigner.wigner_table(rho2))
-        worst = max(worst, abs(lhs - rhs))
-    return _residual_outcome("wigner.overlap_identity", worst, 1e-10)
+        yield lhs - wigner.table_overlap(wigner.wigner_table(rho1), wigner.wigner_table(rho2))
 
 
+@_register
 def _check_mixing(n, rng):
+    name = "wigner.affine_mixing"
     rho1 = sampling.random_density(n, rng)
     rho2 = sampling.random_density(n, rng)
     a = 0.25
     mixed = wigner.wigner_table(a * rho1 + (1 - a) * rho2)
     combo = a * wigner.wigner_table(rho1) + (1 - a) * wigner.wigner_table(rho2)
     worst = max_abs(mixed - combo)
-    outcome = _residual_outcome("wigner.affine_mixing", worst, 1e-12)
-    if not outcome.passed:
-        return outcome
+    if not worst <= 1e-12:
+        return CheckOutcome(name, False, f"residual {worst:.3e} (tol 1.0e-12)")
     # amplitude superposition must NOT mix affinely
     psi = wigner.superposition_state(0, 1, 0.0, n)
     w_psi = wigner.wigner_table(wigner.density_from_state(psi))
     w_avg = 0.5 * (wigner.wigner_pure_position(0, n) + wigner.wigner_pure_position(1, n))
     gap = max_abs(w_psi - w_avg)
-    if gap <= 1e-6:
+    if not gap > 1e-6:
         return CheckOutcome(
-            name="wigner.affine_mixing",
-            passed=False,
-            detail=f"superposition table coincides with the mixture (gap {gap:.3e})",
+            name, False, f"superposition table coincides with the mixture (gap {gap:.3e})"
         )
     return CheckOutcome(
-        name="wigner.affine_mixing",
-        passed=True,
-        detail=f"residual {worst:.3e} (tol 1.0e-12), superposition gap {gap:.3e}",
+        name, True, f"residual {worst:.3e} (tol 1.0e-12), superposition gap {gap:.3e}"
     )
 
 
+@_check("wigner.reconstruction", 1e-10)
 def _check_reconstruction(n, rng):
-    worst = 0.0
     for _ in range(10):
         rho = sampling.random_density(n, rng)
         w = wigner.wigner_table(rho)
         via_core = wigner.reconstruct(w)
-        via_full = reference.reconstruct_full(w)
-        worst = max(worst, max_abs(via_core - via_full))
-        worst = max(worst, max_abs(via_core - rho))
-        worst = max(worst, max_abs(wigner.wigner_table(via_core) - w))
-    return _residual_outcome("wigner.reconstruction", worst, 1e-10)
+        yield via_core - reference.reconstruct_full(w)
+        yield via_core - rho
+        yield wigner.wigner_table(via_core) - w
 
 
+@_register
 def _check_purity(n, rng):
-    worst_pure = 0.0
-    for _ in range(3):
-        rho = sampling.random_pure_density(n, rng)
-        worst_pure = max(worst_pure, wigner.purity_residual(wigner.wigner_table(rho)))
+    pure = [wigner.wigner_table(sampling.random_pure_density(n, rng)) for _ in range(3)]
+    worst_pure = max_abs(np.array([wigner.purity_residual(w) for w in pure]))
     mixed = wigner.purity_residual(wigner.wigner_table(np.eye(n) / n))
-    passed = worst_pure <= 1e-8 and mixed > 0.0
     return CheckOutcome(
         name="wigner.purity_constraint",
-        passed=passed,
+        passed=worst_pure <= 1e-8 and mixed > 0.0,
         detail=f"pure residual {worst_pure:.3e} (tol 1.0e-08), mixed residual {mixed:.3e} (> 0 required)",
     )
 
 
+@_check("channels.wigner_commutation", 1e-12)
 def _check_channel_commutation(n, rng):
-    worst = 0.0
     for terms in (2, 3, 4):
         ch = sampling.random_kraus_channel(n, terms, rng)
         rho = sampling.random_density(n, rng)
         # by linearity the output table is the sum of the Kraus terms' tables
         per_term = sum(wigner.wigner_table(v @ rho @ adjoint(v)) for v in ch.kraus)
-        worst = max(worst, max_abs(channels.channel_wigner(ch, rho) - per_term))
-    return _residual_outcome("channels.wigner_commutation", worst, 1e-12)
+        yield channels.channel_wigner(ch, rho) - per_term
 
 
+@_check("channels.propagator_action", 1e-9)
 def _check_propagator(n, rng):
-    worst = 0.0
     us = [np.eye(n, dtype=complex), phase_space.fourier_matrix(n)]
     us.extend(sampling.random_unitary(n, rng) for _ in range(3))
     for u in us:
@@ -308,80 +307,43 @@ def _check_propagator(n, rng):
         evolved = prop.apply(wigner.wigner_table(rho))
         # the FFT path against the table of the conjugated state, taken by
         # the row-DFT kernel and by the trace against the point operators
-        worst = max(worst, max_abs(evolved - wigner.wigner_table(conjugated)))
-        worst = max(worst, max_abs(evolved - reference.table_values(conjugated)))
-    return _residual_outcome("channels.propagator_action", worst, 1e-9)
+        yield evolved - wigner.wigner_table(conjugated)
+        yield evolved - reference.table_values(conjugated)
 
 
+@_check("channels.gamma_invariance", 1e-8)
 def _check_gamma_invariance(n, rng):
     # Gamma(a, b, c) = sum_{a', b', c'} z[a, a'] z[b, b'] z[c, c'] Gamma(a', b', c')
     # with the inner lattice sums regrouped into M_i = sum_a z[i, a] A_a.  Row i
     # of z is N times the table of U* A_i U, so M_i is that table's inverse.
     u = sampling.random_unitary(n, rng)
     count = 4 * n * n
-    worst = 0.0
     for _ in range(6):
         ia, ib, ic = (int(rng.integers(count)) for _ in range(3))
         ops = [phase_space.point_operator(*divmod(i, 2 * n), n) for i in (ia, ib, ic)]
         ms = [wigner._table_inverse(wigner.wigner_table(adjoint(u) @ a @ u)) for a in ops]
-        worst = max(worst, abs(trace_product(ms) - trace_product(ops)))
-    return _residual_outcome("channels.gamma_invariance", worst, 1e-8)
+        yield trace_product(ms) - trace_product(ops)
 
 
+@_check("channels.fourier_conjugation", 1e-12)
 def _check_fourier_conjugation(n, rng):
     f = phase_space.fourier_matrix(n)
-    worst = 0.0
     for terms in (2, 3):
         ch = sampling.random_kraus_channel(n, terms, rng)
         conj = channels.fourier_conjugate_channel(ch, f)
-        worst = max(worst, conj.completeness_residual())
+        yield conj.completeness_residual()
         rho = sampling.random_density(n, rng)
         lhs = f @ channels.apply_channel(ch, rho) @ adjoint(f)
-        rhs = channels.apply_channel(conj, f @ rho @ adjoint(f))
-        worst = max(worst, max_abs(lhs - rhs))
-    return _residual_outcome("channels.fourier_conjugation", worst, 1e-12)
+        yield lhs - channels.apply_channel(conj, f @ rho @ adjoint(f))
 
 
+@_check("channels.sqrt_decomposition", 1e-10)
 def _check_sqrt_decomposition(n, rng):
     ch = sampling.random_kraus_channel(n, 3, rng)
-    rho = sampling.random_density(n, rng)
-    report = channels.adjoint_form_report(ch, rho)
-    worst_cyclic = max(row["cyclic_residual"] for row in report)
-    worst_psd_adjoint = max(
-        (row["adjoint_residual"] for row in report if row["psd"]), default=0.0
-    )
-    worst = max(worst_cyclic, worst_psd_adjoint)
-    return _residual_outcome("channels.sqrt_decomposition", worst, 1e-10)
-
-
-CHECKS = (
-    _check_weyl_commutation,
-    _check_weyl_orthogonality,
-    _check_weyl_adjoint,
-    _check_weyl_roundtrip,
-    _check_point_hermiticity,
-    _check_point_fourier_form,
-    _check_point_symmetry,
-    _check_point_orthogonality,
-    _check_reflection_fourier,
-    _check_translation_power,
-    _check_line_projectors,
-    _check_table_realness,
-    _check_lemma_vs_trace,
-    _check_odd_rows,
-    _check_symmetry_extension,
-    _check_marginals,
-    _check_w_transform,
-    _check_overlap,
-    _check_mixing,
-    _check_reconstruction,
-    _check_purity,
-    _check_channel_commutation,
-    _check_propagator,
-    _check_gamma_invariance,
-    _check_fourier_conjugation,
-    _check_sqrt_decomposition,
-)
+    for row in channels.adjoint_form_report(ch, sampling.random_density(n, rng)):
+        yield row["cyclic_residual"]
+        if row["psd"]:
+            yield row["adjoint_residual"]
 
 
 def run_checks(n: int, seed: int = 0) -> list[CheckOutcome]:

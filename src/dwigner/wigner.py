@@ -106,7 +106,7 @@ def wigner_table(rho, imag_tol: float = 1e-10) -> np.ndarray:
     _require_even(n)
     core = _table_lemma(m)
     residue = max_abs(core.imag)
-    if residue > imag_tol:
+    if not residue <= imag_tol:
         raise NonHermitianResultError(
             f"imaginary residue {residue:.3e} exceeds {imag_tol:g}"
         )
@@ -301,7 +301,7 @@ def superposition_cross_term(
     The basis indices are validated as in ``wigner_superposition``.
     """
     _require_indices(n, q0, q1)
-    if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-12:
+    if not abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= 1e-12:
         raise NotNormalizedError(
             f"amplitudes not normalized: |a|^2+|b|^2 = {abs(a)**2 + abs(b)**2:.15g}"
         )

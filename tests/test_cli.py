@@ -563,6 +563,43 @@ class TestOutOfMemory:
         assert proc.stderr.count(b"\n") == 1
 
 
+class TestOverflowingInput:
+    # the validation residuals of these finite entries overflow to inf or NaN;
+    # run in a subprocess, since pytest captures numpy's warnings in-process
+    @pytest.mark.parametrize(
+        "args, obj",
+        (
+            (
+                ["evolve", "--state", "ket:0", "--unitary", "file:{}"],
+                {"n": 2, "matrix": [[[1e200, 0], [-1e200, 0]], [[1e200, 0], [1e200, 0]]]},
+            ),
+            (
+                ["channel", "--state", "ket:0", "--kraus", "{}"],
+                {"n": 2, "kraus": [[[1e200, 0], [-1e200, 0], [1e200, 0], [1e200, 0]]]},
+            ),
+            (
+                ["wigner", "--state", "file:{}"],
+                {"n": 2, "matrix": [[[0.5, 0], [1e308, 0]], [[1e308, 0], [0.5, 0]]]},
+            ),
+        ),
+        ids=["evolve", "channel", "wigner"],
+    )
+    def test_exits_2_with_one_error_line(self, tmp_path, args, obj):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(obj))
+        env = dict(os.environ, PYTHONPATH=str(Path(dwigner.__file__).resolve().parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dwigner.cli", *(a.format(path) for a in args), "--n", "2"],
+            capture_output=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"error: ")
+        assert proc.stderr.count(b"\n") == 1
+
+
 # valid tables at N = 2 and 4, single-cell mutations of their CSV text,
 # malformed rows and structures, non-finite values and raw text
 VALID_TABLES = [

@@ -135,6 +135,10 @@ class TestChecksAndValidation:
             validate_density(np.diag([1.0, 1.0]))
         with pytest.raises(ValueError, match="positive"):
             validate_density(np.diag([1.5, -0.5]))
+        # eigenvalues +-1e308: the eigensolver's input overflows to NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="positive"):
+                validate_density(np.array([[0.5, 1e308], [1e308, 0.5]]))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):

@@ -35,7 +35,18 @@ from dwigner.sampling import (
     random_state_vector,
     random_unitary,
 )
-from dwigner.verify import run_checks
+from dwigner import verify as verify_module
+from dwigner import wigner as wigner_module
+from dwigner.verify import (
+    CheckOutcome,
+    _check,
+    _check_lemma_vs_trace,
+    _check_marginals,
+    _check_odd_rows,
+    _check_overlap,
+    _check_symmetry_extension,
+    run_checks,
+)
 from dwigner.wigner import (
     DegenerateSuperpositionError,
     InconsistentTableError,
@@ -124,6 +135,13 @@ class TestWignerTable:
         bad = np.array([[0.5, 0.5], [0.0, 0.5]])
         with pytest.raises(NonHermitianResultError):
             wigner_table(bad)
+
+    def test_overflowing_residue_rejected(self):
+        # the row DFTs of these finite entries overflow, leaving a NaN residue
+        huge = np.array([[1e308, 1e308j], [-1e308j, 1e308]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonHermitianResultError):
+                wigner_table(huge)
 
     @pytest.mark.parametrize("n", EVEN_DIMS)
     def test_grid_sum_is_trace(self, n):
@@ -263,6 +281,8 @@ class TestCrossTerm:
     def test_rejects_unnormalized(self):
         with pytest.raises(NotNormalizedError):
             superposition_cross_term(1.0, 1.0, 0, 0, 2)
+        with pytest.raises(NotNormalizedError):
+            superposition_cross_term(float("nan"), 1.0, 0, 0, 2)
 
 
 class TestSymmetryExtension:
@@ -473,6 +493,66 @@ class TestRowDftArms:
     def test_verify_passes(self, n):
         failed = [o.name for o in run_checks(n, seed=0) if not o.passed]
         assert failed == []
+
+
+VERIFY_CHECK_NAMES = [
+    "weyl.commutation",
+    "weyl.orthogonality",
+    "weyl.adjoint",
+    "weyl.expand_roundtrip",
+    "phase_space.point_hermiticity",
+    "phase_space.point_fourier_form",
+    "phase_space.point_symmetry",
+    "phase_space.point_orthogonality",
+    "phase_space.reflection_fourier",
+    "phase_space.translation_power",
+    "phase_space.line_projector_idempotent",
+    "wigner.table_realness",
+    "wigner.lemma_vs_trace",
+    "wigner.odd_rows_diagonal_states",
+    "wigner.symmetry_extension",
+    "wigner.marginals",
+    "wigner.w_transform",
+    "wigner.overlap_identity",
+    "wigner.affine_mixing",
+    "wigner.reconstruction",
+    "wigner.purity_constraint",
+    "channels.wigner_commutation",
+    "channels.propagator_action",
+    "channels.gamma_invariance",
+    "channels.fourier_conjugation",
+    "channels.sqrt_decomposition",
+]
+
+
+class TestVerifyRunner:
+    def test_registry_names_and_order(self):
+        assert [o.name for o in run_checks(4, 0)] == VERIFY_CHECK_NAMES
+
+    @pytest.mark.parametrize(
+        "check",
+        (_check_lemma_vs_trace, _check_odd_rows, _check_symmetry_extension,
+         _check_marginals, _check_overlap),
+    )
+    def test_nan_residual_fails(self, check, monkeypatch):
+        def nan_table(rho, imag_tol=1e-10):
+            return np.full((2 * len(rho), 2 * len(rho)), np.nan)
+
+        monkeypatch.setattr(wigner_module, "wigner_table", nan_table)
+        outcome = check(4, np.random.default_rng(0))
+        assert not outcome.passed
+        assert "nan" in outcome.detail
+
+    def test_nan_after_finite_residual_fails(self, monkeypatch):
+        monkeypatch.setattr(verify_module, "CHECKS", [])
+
+        @_check("nan_last", 1.0)
+        def residuals(n, rng):
+            yield 0.5
+            yield np.array([0.0, np.nan])
+
+        assert verify_module.CHECKS == [residuals]
+        assert residuals(2, None) == CheckOutcome("nan_last", False, "residual nan (tol 1.0e+00)")
 
 
 class TestMarginals:
