@@ -7,20 +7,20 @@ family stacked, so its completeness residual and its action are one
 channel, and every application compares it with its own tolerance.
 ``apply_channel`` maps states, and ``KrausChannel.apply`` maps Wigner
 tables: it inverts a table through the row-wise DFT kernel of
-:mod:`dwigner.wigner` (one contraction with a cached kernel and one DFT
-per row: a product with a cached DFT matrix up to N = 16, where numpy's
-fixed cost per FFT call dominates, and one FFT call above), applies the
-same Kraus sum, and tabulates the core again, in O(KN^3) time and O(N^2)
-memory.  Iterated, it is the quantum iterated function system of the
-channel on tables.  The propagator of a unitary U is the one-term channel
-{U}.  The dense 4N^2 x 4N^2 kernel Z of a unitary and the per-point
-square-root factors of the decomposition identities are oracles in
-:mod:`dwigner.reference`.  Last come the Fourier-conjugated channel with
-Kraus operators F V_i F*, and the report that compares, at every lattice
-point, a channel's Wigner value with its cyclic and adjoint square-root
-forms.  Like ``channel_wigner``, the report needs no point-operator stack:
-it is evaluated from the monomial entries of the point operators in
-O(N^3) time and O(N^2) memory.
+:mod:`dwigner.wigner` (one contraction with the fold kernel of its cached
+per-N record and one DFT per row: a product with the record's DFT matrix
+up to N = 16, where numpy's fixed cost per FFT call dominates, and one
+FFT call above), applies the same Kraus sum, and tabulates the core
+again, in O(KN^3) time and O(N^2) memory.  Iterated, it is the quantum
+iterated function system of the channel on tables.  The propagator of a
+unitary U is the one-term channel {U}.  The dense 4N^2 x 4N^2 kernel Z
+of a unitary and the per-point square-root factors of the decomposition
+identities are oracles in :mod:`dwigner.reference`.  Last come the
+Fourier-conjugated channel with Kraus operators F V_i F*, and the report
+that compares, at every lattice point, a channel's Wigner value with its
+cyclic and adjoint square-root forms.  Like ``channel_wigner``, the
+report needs no point-operator stack: it is evaluated from the monomial
+entries of the point operators in O(N^3) time and O(N^2) memory.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .matrix_core import (
 from .phase_space import _point_entries, _roots
 from .wigner import (
     _extend,
-    _lattice_phases,
     _require_even,
     _require_finite_table,
     _table_inverse,
@@ -206,14 +205,17 @@ def fourier_conjugate_channel(channel: KrausChannel, f) -> KrausChannel:
 
 # Per-N constants of adjoint_form_report, O(N^2) and read-only.
 @lru_cache(maxsize=8)
-def _report_constants(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gather index, scaled DFT factor, minimum-eigenvalue grid and PSD mask.
+def _report_constants(n: int) -> tuple[np.ndarray, ...]:
+    """Phase grid, gather index, scaled DFT factor, minimum-eigenvalue grid, PSD mask.
 
     Column m of B(q, p) = 2N A(q, p) holds root(p*q) * root(-2pm) in row
-    rows[q, m] = (q - m) mod N, with root(k) = exp(i*pi*k/N).  ``gather``
-    [q, m] is the flat index of Lambda[m, rows[q, m]], and ``dft`` [m, p]
-    is root(-2pm) / 2N, so tr(A(q, p) Lambda) = root(p*q) * (L @ dft)[q, p]
-    with L = Lambda.flat[gather].
+    rows[q, m] = (q - m) mod N, with root(k) = exp(i*pi*k/N).  ``phases``
+    [q, p] is root(p*q) on the 2N x 2N lattice; root(k + N) is exactly
+    -root(k), so its rows and columns from N on are the core's times the
+    signs of the sign rule.  ``gather`` [q, m] is the flat index of
+    Lambda[m, rows[q, m]], and ``dft`` [m, p] is root(-2pm) / 2N, so
+    tr(A(q, p) Lambda) = phases[q, p] * (L @ dft)[q, p] with
+    L = Lambda.flat[gather].
 
     ``psd`` is the B = I mask and ``min_eigs`` is +1/(2N) on it and
     -1/(2N) elsewhere.  B = I needs rows[q, m] = m, i.e. q = 2m (mod N),
@@ -225,14 +227,15 @@ def _report_constants(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     k = np.arange(2 * n)
     m = np.arange(n)
     rows, _ = _point_entries(k, 0, n)
+    phases = _roots(n)[np.outer(k, k) % (2 * n)]
     gather = m * n + rows
     dft = _roots(n)[np.outer(-2 * m, k) % (2 * n)] / (2 * n)
     even = k % 2 == 0
     psd = np.outer(even, even) & (n == 2)
     min_eigs = np.where(psd, 1, -1) / (2 * n)
-    for constant in (gather, dft, min_eigs, psd):
+    for constant in (phases, gather, dft, min_eigs, psd):
         constant.flags.writeable = False
-    return gather, dft, min_eigs, psd
+    return phases, gather, dft, min_eigs, psd
 
 
 def adjoint_form_report(channel: KrausChannel, rho) -> list[dict]:
@@ -259,8 +262,8 @@ def adjoint_form_report(channel: KrausChannel, rho) -> list[dict]:
     """
     n = channel.n
     out_rho = apply_channel(channel, rho)
-    gather, dft, min_eigs, psd = _report_constants(n)
-    cyclic = _lattice_phases(n, 2 * n, 1) * (out_rho.reshape(-1)[gather] @ dft)
+    phases, gather, dft, min_eigs, psd = _report_constants(n)
+    cyclic = phases * (out_rho.reshape(-1)[gather] @ dft)
     adj = np.trace(out_rho) / (2 * n)
     w = wigner_table(out_rho)
     points = np.indices((2 * n, 2 * n)).reshape(2, -1).tolist()

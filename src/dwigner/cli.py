@@ -6,9 +6,10 @@ Subcommands: ``wigner`` (table of a state), ``marginals``, ``evolve``
 to a density matrix), and ``verify`` (the seeded invariant suite).
 
 States are given as ``ket:<q0>``, ``sup:<q0>,<q1>,<phi-radians>``, or
-``file:<path>`` pointing at a density-matrix JSON file.  Exit codes:
-0 success, 1 invariant failure, 2 input error, 3 consistency error.
-``main`` is the one place that maps an exception to an exit code:
+``file:<path>`` pointing at a density-matrix JSON file; unitary and Kraus
+files are ``file:<path>`` too (a Kraus file may also be a bare path).
+Exit codes: 0 success, 1 invariant failure, 2 input error, 3 consistency
+error.  ``main`` is the one place that maps an exception to an exit code:
 ``InconsistentTableError`` and ``NonHermitianResultError`` exit 3, and
 every other library validation error (a ``ValueError``, or an
 ``IndexError`` for a basis index), every unreadable or unwritable path
@@ -32,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channels import KrausChannel, channel_wigner
+from .channels import KrausChannel, apply_channel
 from .io import (
     FLOAT_FMT,
     dump_json,
@@ -108,18 +109,17 @@ def _parse_state(spec: str, n: int, tol_factor: float) -> np.ndarray:
             raise InputError(f"sup phase must be finite, got {parts[2]!r}")
         return density_from_state(superposition_state(q0, q1, phi, n))
     if kind == "file":
-        rho = _load(
-            rest,
-            lambda text: validate_density(
-                matrix_from_json_obj(json.loads(text)),
+        return _load_json_file(
+            "density",
+            spec,
+            n,
+            lambda obj: validate_density(
+                matrix_from_json_obj(obj),
                 herm_tol=1e-12 * tol_factor,
                 trace_tol=1e-12 * tol_factor,
                 psd_tol=1e-10 * tol_factor,
             ),
         )
-        if rho.shape[0] != n:
-            raise InputError(f"density file has N={rho.shape[0]}, expected {n}")
-        return rho
     raise InputError(f"unknown state kind {kind!r} (use ket:, sup:, or file:)")
 
 
@@ -129,6 +129,15 @@ def _load(path: str, parse):
         return parse(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot use file {path!r}: {exc}") from exc
+
+
+def _load_json_file(kind: str, spec: str, n: int, parse):
+    """``parse`` of the JSON in a ``kind`` file ``[file:]<path>``: matrix or channel, N = ``n``."""
+    value = _load(spec.removeprefix("file:"), lambda text: parse(json.loads(text)))
+    size = value.n if isinstance(value, KrausChannel) else value.shape[0]
+    if size != n:
+        raise InputError(f"{kind} file has N={size}, expected {n}")
+    return value
 
 
 def _write_bytes(data: bytes, output: str | None) -> None:
@@ -176,17 +185,13 @@ def _load_unitary(spec: str, n: int, tol_factor: float) -> np.ndarray:
         return fourier_matrix(n)
     if spec == "identity":
         return np.eye(n, dtype=complex)
-    kind, sep, path = spec.partition(":")
-    if kind == "file" and sep:
-        u = _load(
-            path,
-            lambda text: validate_unitary(
-                matrix_from_json_obj(json.loads(text)), tol=1e-12 * tol_factor
-            ),
+    if spec.startswith("file:"):
+        return _load_json_file(
+            "unitary",
+            spec,
+            n,
+            lambda obj: validate_unitary(matrix_from_json_obj(obj), tol=1e-12 * tol_factor),
         )
-        if u.shape[0] != n:
-            raise InputError(f"unitary file has N={u.shape[0]}, expected {n}")
-        return u
     raise InputError(f"unknown unitary {spec!r} (use fourier, identity, or file:<path>)")
 
 
@@ -207,10 +212,10 @@ def cmd_evolve(args, tol_factor: float) -> int:
 def cmd_channel(args, tol_factor: float) -> int:
     _require_even(args.n)
     rho = _parse_state(args.state, args.n, tol_factor)
-    channel = _load(args.kraus, lambda text: kraus_from_json_obj(json.loads(text)))
-    if channel.n != args.n:
-        raise InputError(f"Kraus file has N={channel.n}, expected {args.n}")
-    table = channel_wigner(channel, rho, completeness_tol=1e-8 * tol_factor)
+    channel = _load_json_file("Kraus", args.kraus, args.n, kraus_from_json_obj)
+    # not channel_wigner: its fixed imag_tol would undo DWIGNER_TOL's scaling
+    out_rho = apply_channel(channel, rho, completeness_tol=1e-8 * tol_factor)
+    table = wigner_table(out_rho, imag_tol=1e-10 * tol_factor)
     _write_bytes(_render_table(table, args.format), args.output)
     return EXIT_OK
 
@@ -286,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("channel", help="apply a Kraus channel once")
     add_state_args(p)
-    p.add_argument("--kraus", required=True, help="path to a Kraus-channel JSON file")
+    p.add_argument("--kraus", required=True, help="file:<kraus.json> | <kraus.json>")
     add_output_args(p)
     p.set_defaults(func=cmd_channel)
 

@@ -23,13 +23,14 @@ which for each row q is a length-N inverse DFT of a wrapped diagonal of
 rho, periodic in p with period N.  ``wigner_table`` evaluates it that way
 on the N x N core only and extends the core by the sign rule, in
 O(N^2 log N) time and O(N^2) memory; the rows and phase roots come from
-the monomial entries of :mod:`dwigner.phase_space`, and every per-N index
-and phase table is cached read-only with its scale folded in.
-``reconstruct`` inverts it exactly on the core, one forward DFT per row,
-and ``purity_residual`` compares a table with the table of the square of
-that inverse.  The row DFTs have two arms: up to N = 16 they are one
-product with a cached N x N DFT matrix, because there numpy's fixed cost
-per FFT call outweighs the arithmetic; above it they are one FFT call.
+the monomial entries of :mod:`dwigner.phase_space`, and ``_kernel``
+caches every index, sign and phase table of one N in one read-only
+record with its scale folded in.  ``reconstruct`` inverts it exactly on
+the core, one forward DFT per row, and ``purity_residual`` compares a
+table with the table of the square of that inverse.  The row DFTs have
+two arms: up to N = 16 they are one product with the record's N x N DFT
+matrix, because there numpy's fixed cost per FFT call outweighs the
+arithmetic; above it they are one FFT call.
 The trace against the dense point-operator stack, the sum over the full
 lattice and the three-point kernel Gamma are independent oracles
 for the tests and ``verify``, in :mod:`dwigner.reference`.
@@ -37,6 +38,7 @@ for the tests and ``verify``, in :mod:`dwigner.reference`.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -113,75 +115,58 @@ def wigner_table(rho, imag_tol: float = 1e-10) -> np.ndarray:
     return _extend(core.real)
 
 
-# The per-N constants of the row-DFT kernel are cached read-only and pre-scaled:
-# rebuilding them cost a large part of each small-N kernel call.  The bound
-# covers a few sizes in use at once.
-@lru_cache(maxsize=16)
-def _lattice_phases(n: int, size: int, sign: int) -> np.ndarray:
-    """exp(sign * i*pi*(q*p mod 2N)/N) for 0 <= q, p < size.
-
-    The roots for exponents N .. 2N-1 are the exact negatives of those
-    below N, so the rows and columns from N on are the core's times the
-    signs of the sign rule.
-    """
-    k = np.arange(size)
-    phases = _roots(n)[np.outer(k, k) % (2 * n)]
-    if sign < 0:
-        phases = phases.conj()
-    phases.flags.writeable = False
-    return phases
-
-
-@lru_cache(maxsize=8)
-def _wrap_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat N x N gather indices between rho and its wrapped diagonals.
-
-    ``wrap`` selects wrapped[q, m] = rho[(q - m) mod N, m] from the
-    flattened rho, and ``unwrap`` selects rho[r, m] = wrapped[(r + m) mod N, m]
-    back from the flattened wrapped rows.
-    """
-    m = np.arange(n)
-    rows, _ = _point_entries(m, 0, n)
-    wrap = rows * n + m
-    unwrap = ((m[:, None] + m) % n) * n + m
-    wrap.flags.writeable = False
-    unwrap.flags.writeable = False
-    return wrap, unwrap
-
-
-@lru_cache(maxsize=8)
-def _core_kernels(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pre-scaled phase kernels of the row-wise DFT, read-only.
-
-    ``table`` (N x N) turns the unnormalised inverse DFT of the wrapped rows
-    into the table core.  ``inverse`` (N x N) turns a core into the spectra
-    whose unnormalised DFT per row gives back the wrapped rows of 4N sum_core
-    W A.  ``fold`` (2, N, 2, N, indexed like ``_quadrant_signs``) does the
-    same for a whole table, with the sign rule and the mean over the four
-    quadrants folded in.
-    """
-    table = _lattice_phases(n, n, -1) / (2 * n)
-    inverse = 2 * _lattice_phases(n, n, 1)
-    fold = _quadrant_signs(n) * inverse[None, :, None, :] / 4
-    for kernel in (table, inverse, fold):
-        kernel.flags.writeable = False
-    return table, inverse, fold
-
-
 # Largest N whose row DFT is a product with a cached DFT matrix.  Up to
 # here numpy's fixed cost per FFT call outweighs the N^3 product; above it
 # the FFT keeps O(N^2 log N).  The two cross near N = 48, but N = 32 stays
 # on the FFT so that the benchmark workloads run both arms.
 _MATRIX_DFT_MAX_N = 16
 
+_Kernel = namedtuple("_Kernel", "wrap unwrap table inverse signs fold dft_pos dft_neg")
 
-@lru_cache(maxsize=16)
-def _dft_matrix(n: int, sign: int) -> np.ndarray:
-    """exp(sign * 2*pi*i*m*p/N) for 0 <= m, p < N, read-only."""
+
+# Rebuilding the per-N constants cost a large part of each small-N kernel
+# call.  The bound covers a few sizes in use at once.
+@lru_cache(maxsize=8)
+def _kernel(n: int) -> _Kernel:
+    """Per-N constants of the row-DFT kernel, read-only and pre-scaled.
+
+    ``wrap`` selects wrapped[q, m] = rho[(q - m) mod N, m] from the flat
+    rho, and ``unwrap`` selects rho[r, m] = wrapped[(r + m) mod N, m] back
+    from the flat wrapped rows.  ``table`` (N x N) turns the unnormalised
+    inverse DFT of the wrapped rows into the table core; ``inverse``
+    (N x N) turns a core into the spectra whose unnormalised DFT per row
+    gives back the wrapped rows of 4N sum_core W A.  ``signs`` [sq, q, sp, p]
+    is the sign rule's (-1)^(sp*q + sq*p); its sq*sp*N term is even for
+    the even N used here.  ``fold``, indexed like ``signs``, does what
+    ``inverse`` does for a whole table, with the sign rule and the mean
+    over the four quadrants folded in.  ``dft_pos`` and ``dft_neg`` are
+    exp(+-2*pi*i*m*p/N), 0 <= m, p < N, if N <= ``_MATRIX_DFT_MAX_N``, else None.
+    """
     k = np.arange(n)
-    dft = _roots(n)[(sign * 2 * np.outer(k, k)) % (2 * n)]
-    dft.flags.writeable = False
-    return dft
+    rows, _ = _point_entries(k, 0, n)
+    phases = _roots(n)[np.outer(k, k) % (2 * n)]
+    s = np.arange(2)
+    parity = s[None, None, :, None] * k[None, :, None, None] + s[:, None, None, None] * k
+    signs = 1.0 - 2.0 * (parity % 2)
+    inverse = 2 * phases
+    dft_pos = dft_neg = None
+    if n <= _MATRIX_DFT_MAX_N:
+        dft_pos = _roots(n)[(2 * np.outer(k, k)) % (2 * n)]
+        dft_neg = _roots(n)[(-2 * np.outer(k, k)) % (2 * n)]
+    kernel = _Kernel(
+        wrap=rows * n + k,
+        unwrap=((k[:, None] + k) % n) * n + k,
+        table=phases.conj() / (2 * n),
+        inverse=inverse,
+        signs=signs,
+        fold=signs * inverse[None, :, None, :] / 4,
+        dft_pos=dft_pos,
+        dft_neg=dft_neg,
+    )
+    for constant in kernel:
+        if constant is not None:
+            constant.flags.writeable = False
+    return kernel
 
 
 def _row_dft(x: np.ndarray, sign: int) -> np.ndarray:
@@ -189,9 +174,10 @@ def _row_dft(x: np.ndarray, sign: int) -> np.ndarray:
 
     Sign +1 is numpy's ``ifft(norm="forward")``, sign -1 its ``fft``.
     """
-    n = x.shape[1]
-    if n <= _MATRIX_DFT_MAX_N:
-        return x @ _dft_matrix(n, sign)
+    kernel = _kernel(x.shape[1])
+    matrix = kernel.dft_pos if sign > 0 else kernel.dft_neg
+    if matrix is not None:
+        return x @ matrix
     if sign > 0:
         return np.fft.ifft(x, axis=1, norm="forward")
     return np.fft.fft(x, axis=1)
@@ -199,15 +185,13 @@ def _row_dft(x: np.ndarray, sign: int) -> np.ndarray:
 
 def _table_lemma(rho: np.ndarray) -> np.ndarray:
     """Complex N x N core of the table of rho; ``_extend`` gives the full table."""
-    n = rho.shape[0]
-    wrapped = rho.reshape(-1)[_wrap_index(n)[0]]
-    return _row_dft(wrapped, 1) * _core_kernels(n)[0]
+    kernel = _kernel(rho.shape[0])
+    return _row_dft(rho.reshape(-1)[kernel.wrap], 1) * kernel.table
 
 
 def _from_spectra(spectra: np.ndarray) -> np.ndarray:
     """The operator whose wrapped rows are the unnormalised DFTs of ``spectra``."""
-    n = spectra.shape[0]
-    return _row_dft(spectra, -1).reshape(-1)[_wrap_index(n)[1]]
+    return _row_dft(spectra, -1).reshape(-1)[_kernel(spectra.shape[0]).unwrap]
 
 
 def _core_inverse(core: np.ndarray) -> np.ndarray:
@@ -215,7 +199,7 @@ def _core_inverse(core: np.ndarray) -> np.ndarray:
 
     Undoes ``_table_lemma`` row by row; no symmetry check.
     """
-    return _from_spectra(core * _core_kernels(core.shape[0])[1])
+    return _from_spectra(core * _kernel(core.shape[0]).inverse)
 
 
 def _table_inverse(table: np.ndarray) -> np.ndarray:
@@ -227,7 +211,7 @@ def _table_inverse(table: np.ndarray) -> np.ndarray:
     one DFT per row.
     """
     n = table.shape[0] // 2
-    spectra = (table.reshape(2, n, 2, n) * _core_kernels(n)[2]).sum(axis=(0, 2))
+    spectra = (table.reshape(2, n, 2, n) * _kernel(n).fold).sum(axis=(0, 2))
     return _from_spectra(spectra)
 
 
@@ -324,20 +308,6 @@ def restrict_to_core(table) -> np.ndarray:
     return w[:n, :n].copy()
 
 
-@lru_cache(maxsize=8)
-def _quadrant_signs(n: int) -> np.ndarray:
-    """Signs (-1)^(sp*q + sq*p) of the sign rule, indexed [sq, q, sp, p].
-
-    The sq*sp*N term of the rule is even for the even N used here.
-    """
-    k = np.arange(n)
-    s = np.arange(2)
-    parity = s[None, None, :, None] * k[None, :, None, None] + s[:, None, None, None] * k
-    signs = 1.0 - 2.0 * (parity % 2)
-    signs.flags.writeable = False
-    return signs
-
-
 def extend_by_symmetry(core) -> np.ndarray:
     """Fill the 2N x 2N table from its N x N core via the sign rule."""
     c = np.asarray(core, dtype=float)
@@ -350,7 +320,7 @@ def extend_by_symmetry(core) -> np.ndarray:
 def _extend(core: np.ndarray) -> np.ndarray:
     """The sign-rule extension of a real or complex N x N core, unchecked."""
     n = core.shape[0]
-    return (core[None, :, None, :] * _quadrant_signs(n)).reshape(2 * n, 2 * n)
+    return (core[None, :, None, :] * _kernel(n).signs).reshape(2 * n, 2 * n)
 
 
 def reconstruct(table, symmetry_tol: float = 1e-8) -> np.ndarray:

@@ -285,6 +285,48 @@ class TestChannelCommand:
         assert err.startswith("error: channel is not trace preserving")
         assert err.count("\n") == 1
 
+    def test_kraus_file_spellings_agree(self, tmp_path, capsys):
+        # file:<path>, as for --state and --unitary, and the bare path
+        kraus_file = tmp_path / "channel.json"
+        p = np.array([[0.7, 0.4], [0.3, 0.6]])
+        kraus_file.write_text(dump_json(kraus_to_json_obj(stochastic_channel(p))))
+        outputs = []
+        for spec in (f"file:{kraus_file}", str(kraus_file)):
+            code, stdout, err = run(
+                ["channel", "--n", "2", "--state", "sup:0,1,0.3", "--kraus", spec], capsys
+            )
+            assert (code, err) == (0, "")
+            outputs.append(stdout)
+        assert outputs[0] == outputs[1]
+
+    def test_scales_imaginary_residue_check(self, tmp_path):
+        # off-diagonal entries 1e-7i apart leave an imaginary residue of 2.5e-8;
+        # under DWIGNER_TOL=1e6 the identity channel tabulates it as wigner does
+        rho = density_from_state(superposition_state(0, 1, 0.0, 2)).copy()
+        rho[0, 1] += 1e-7j
+        state_file = tmp_path / "rho.json"
+        state_file.write_text(dump_json(matrix_to_json_obj(rho)))
+        kraus_file = tmp_path / "identity.json"
+        kraus_file.write_text(json.dumps({"n": 2, "kraus": KRAUS_N2_IDENTITY}))
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(dwigner.__file__).resolve().parent.parent),
+            DWIGNER_TOL="1e6",
+        )
+        outputs = []
+        for command in (["wigner"], ["channel", "--kraus", str(kraus_file)]):
+            out = tmp_path / f"{command[0]}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "dwigner.cli", *command, "--n", "2",
+                 "--state", f"file:{state_file}", "--output", str(out)],
+                capture_output=True,
+                env=env,
+                timeout=120,
+            )
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
 
 def roundtrip_specs():
     for n in (2, 4):
@@ -459,6 +501,31 @@ class TestToleranceEnv:
 
 
 KRAUS_N2_IDENTITY = [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]
+
+
+class TestFileDimension:
+    @pytest.mark.parametrize(
+        "kind, args, obj",
+        (
+            ("density", ["wigner", "--state", "file:{}"], matrix_to_json_obj(np.eye(2) / 2)),
+            (
+                "unitary",
+                ["evolve", "--state", "ket:0", "--unitary", "file:{}"],
+                matrix_to_json_obj(np.eye(2)),
+            ),
+            (
+                "Kraus",
+                ["channel", "--state", "ket:0", "--kraus", "file:{}"],
+                {"n": 2, "kraus": KRAUS_N2_IDENTITY},
+            ),
+        ),
+    )
+    def test_wrong_n_is_one_error_line(self, tmp_path, capsys, kind, args, obj):
+        path = tmp_path / "input.json"
+        path.write_text(dump_json(obj))
+        code, stdout, err = run([*(a.format(path) for a in args), "--n", "4"], capsys)
+        assert (code, stdout) == (2, "")
+        assert err == f"error: {kind} file has N=2, expected 4\n"
 
 
 class TestMalformedJsonInput:

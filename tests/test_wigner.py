@@ -16,6 +16,7 @@ from dwigner.matrix_core import adjoint, max_abs, trace_product
 from dwigner.phase_space import (
     _point_stack_core,
     _point_stack_full,
+    _roots,
     core_points,
     fourier_matrix,
     full_points,
@@ -53,12 +54,10 @@ from dwigner.wigner import (
     NonHermitianResultError,
     NotNormalizedError,
     OddDimensionError,
-    _core_kernels,
-    _dft_matrix,
-    _lattice_phases,
-    _quadrant_signs,
+    _MATRIX_DFT_MAX_N,
+    _Kernel,
+    _kernel,
     _row_dft,
-    _wrap_index,
     basis_state,
     density_from_state,
     extend_by_symmetry,
@@ -426,6 +425,17 @@ class TestFastPathProperties:
         adjoint_form_report(ch, reconstruct(w))
         assert (_point_stack_full.cache_info(), _point_stack_core.cache_info()) == before
 
+    def test_one_kernel_build_per_n(self):
+        # wigner_table, reconstruct, purity_residual and apply share one record per N
+        _kernel.cache_clear()
+        for builds, n in enumerate((6, 18), start=1):
+            rng = np.random.default_rng(n)
+            w = wigner_table(random_density(n, rng))
+            reconstruct(w)
+            purity_residual(w)
+            unitary_propagator(random_unitary(n, rng)).apply(w)
+            assert _kernel.cache_info().misses == builds
+
     def test_stack_caches_are_bounded(self):
         assert _point_stack_full.cache_info().maxsize == 4
         assert _point_stack_core.cache_info().maxsize == 4
@@ -433,20 +443,11 @@ class TestFastPathProperties:
     @pytest.mark.parametrize(
         "constant",
         (
-            lambda n: _lattice_phases(n, 2 * n, -1),
-            lambda n: _lattice_phases(n, n, 1),
-            lambda n: _quadrant_signs(n),
-            lambda n: _wrap_index(n)[0],
-            lambda n: _wrap_index(n)[1],
-            lambda n: _core_kernels(n)[0],
-            lambda n: _core_kernels(n)[1],
-            lambda n: _core_kernels(n)[2],
-            lambda n: _report_constants(n)[0],
-            lambda n: _report_constants(n)[1],
-            lambda n: _report_constants(n)[2],
-            lambda n: _report_constants(n)[3],
-            lambda n: _dft_matrix(n, 1),
-            lambda n: _dft_matrix(n, -1),
+            # one per field of the per-N kernel record (N = 6 has both DFT matrices)
+            *(lambda n, field=field: getattr(_kernel(n), field) for field in _Kernel._fields),
+            # one per adjoint-form report constant
+            *(lambda n, i=i: _report_constants(n)[i] for i in range(5)),
+            lambda n: _roots(n),
             lambda n: NEARLY_COMPLETE.kraus,
         ),
     )
@@ -471,6 +472,11 @@ class TestRowDftArms:
         x /= np.linalg.norm(x)
         expected = np.fft.ifft(x, axis=1, norm="forward") if sign > 0 else np.fft.fft(x, axis=1)
         assert max_abs(_row_dft(x, sign) - expected) <= 1e-14
+        # the kernel record holds the DFT matrix of the product arm, and no more
+        matrix = _kernel(n).dft_pos if sign > 0 else _kernel(n).dft_neg
+        assert (matrix is None) == (n > _MATRIX_DFT_MAX_N)
+        if matrix is not None:
+            assert np.array_equal(_row_dft(x, sign), x @ matrix)
 
     @pytest.mark.parametrize("n", DIMS)
     def test_kernels_match_dense_oracles(self, n):
@@ -553,6 +559,41 @@ class TestVerifyRunner:
 
         assert verify_module.CHECKS == [residuals]
         assert residuals(2, None) == CheckOutcome("nan_last", False, "residual nan (tol 1.0e+00)")
+
+    def test_nan_tables_fail_without_ending_the_run(self, monkeypatch):
+        # reconstruct raises on the NaN tables; the other 25 checks still run
+        def nan_table(rho, imag_tol=1e-10):
+            return np.full((2 * len(rho), 2 * len(rho)), np.nan)
+
+        monkeypatch.setattr(wigner_module, "wigner_table", nan_table)
+        outcomes = run_checks(4, 0)
+        assert [o.name for o in outcomes] == VERIFY_CHECK_NAMES
+        reconstruction = outcomes[VERIFY_CHECK_NAMES.index("wigner.reconstruction")]
+        assert not reconstruction.passed
+        assert reconstruction.detail.startswith("raised InconsistentTableError: ")
+
+    @pytest.mark.parametrize("error", (ValueError("bad value"), IndexError("bad index")))
+    def test_library_error_fails_its_check(self, error, monkeypatch):
+        monkeypatch.setattr(verify_module, "CHECKS", [])
+
+        @_check("raises", 1.0)
+        def residuals(n, rng):
+            yield 0.0
+            raise error
+
+        detail = f"raised {type(error).__name__}: {error}"
+        assert residuals(2, None) == CheckOutcome("raises", False, detail)
+
+    def test_memory_error_propagates(self, monkeypatch):
+        monkeypatch.setattr(verify_module, "CHECKS", [])
+
+        @_check("out_of_memory", 1.0)
+        def residuals(n, rng):
+            raise MemoryError
+            yield
+
+        with pytest.raises(MemoryError):
+            residuals(2, None)
 
 
 class TestMarginals:
