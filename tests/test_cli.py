@@ -630,6 +630,20 @@ class TestOutOfMemory:
         assert proc.stderr.count(b"\n") == 1
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is not a dependency; importing it would add to every command's start-up
+    env = dict(os.environ, PYTHONPATH=str(Path(dwigner.__file__).resolve().parent.parent))
+    code = "import sys, dwigner.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"[]\n"
+
+
 class TestOverflowingInput:
     # the validation residuals of these finite entries overflow to inf or NaN;
     # run in a subprocess, since pytest captures numpy's warnings in-process
@@ -677,7 +691,9 @@ VALID_TABLE_TEXTS = [table_to_csv_text(w) for w in VALID_TABLES]
 CSV_CELLS = st.one_of(
     st.floats().map(repr),
     st.integers(-2, 2).map(str),
-    st.sampled_from(["", " ", "x", "1e999", "nan", "-inf", "--1", "0x1", "1,", '"1"']),
+    st.sampled_from(
+        ["", " ", "x", "1e999", "nan", "-inf", "--1", "0x1", "1,", '"1"', "\xa01", "+1", "-0", "\u20031"]
+    ),
 )
 CSV_TEXTS = st.one_of(
     st.lists(st.lists(CSV_CELLS, min_size=1, max_size=5), min_size=1, max_size=5).map(

@@ -1,3 +1,4 @@
+import io
 import json
 import warnings
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from goldens import TABLE_N2_KET0
 from dwigner.channels import KrausChannel, stochastic_channel
 from dwigner.io import (
+    _sign_rule_table,
     dump_json,
     kraus_from_json_obj,
     kraus_to_json_obj,
@@ -22,7 +24,7 @@ from dwigner.io import (
 )
 from dwigner.matrix_core import max_abs
 from dwigner.sampling import random_density, random_kraus_channel, random_pure_density
-from dwigner.wigner import wigner_table
+from dwigner.wigner import _extend, wigner_table
 
 EVEN_N = st.integers(min_value=1, max_value=32).map(lambda k: 2 * k)
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -41,6 +43,48 @@ EDGE_MAGNITUDES = (
 def per_value_csv(table) -> str:
     """The CSV text by one ``%.17g`` call per entry: the writer's reference."""
     return "".join(",".join("%.17g" % v for v in row) + "\n" for row in np.asarray(table))
+
+
+def full_parse_reference(text: str) -> np.ndarray:
+    """The table by one ``np.loadtxt`` over all 4N^2 cells: the reader's reference."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        w = np.atleast_2d(np.loadtxt(io.StringIO(text), delimiter=","))
+    if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] % 2 or not np.isfinite(w).all():
+        raise ValueError("rejected table")
+    return w
+
+
+def assert_reads_like_reference(text: str) -> None:
+    """The reader returns the reference's bytes, or raises where the reference does."""
+    try:
+        expected = full_parse_reference(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            table_from_csv_text(text)
+        return
+    got = table_from_csv_text(text)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def negated_cell(cell: str) -> str:
+    return cell[1:] if cell.startswith("-") else "-" + cell
+
+
+def sign_rule_text(core_cells, trailing_newline=True) -> str:
+    """CSV text whose outer cells are the core cells' text with the sign rule's ``-`` toggled."""
+    n = len(core_cells)
+    rows = []
+    for sq in range(2):
+        for q in range(n):
+            row = []
+            for sp in range(2):
+                for p in range(n):
+                    cell = core_cells[q][p]
+                    row.append(negated_cell(cell) if (sp * q + sq * p) % 2 else cell)
+            rows.append(",".join(row))
+    return "\n".join(rows) + ("\n" if trailing_newline else "")
 
 
 @st.composite
@@ -124,6 +168,92 @@ class TestTableCsv:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="2N x 2N"):
                 table_from_csv_text(text)
+
+
+# Cell spellings for sign-rule texts: what ``%.17g`` prints, other spellings
+# np.loadtxt accepts, and spellings it accepts in one sign but not the other.
+CELL_SPELLINGS = (
+    "0.25",
+    "-0.25",
+    "0",
+    "-0",
+    "1e+300",
+    "5e-324",
+    ".5",
+    "5.",
+    "1E5",
+    "1e999",
+    "+0.25",
+    " 0.25",
+    "0.25 ",
+    "\xa00.25",
+    "\u20030.25",
+    "-\xa00.25",
+    "",
+    "x",
+    "--1",
+    "nan",
+)
+
+
+class TestTableCsvReader:
+    @settings(max_examples=40, deadline=None)
+    @given(n=EVEN_N, seed=SEEDS, pure=st.booleans(), trailing=st.booleans())
+    def test_state_tables_match_full_parse(self, n, seed, pure, trailing):
+        rng = np.random.default_rng(seed)
+        rho = random_pure_density(n, rng) if pure else random_density(n, rng)
+        text = table_to_csv_text(wigner_table(rho))
+        if not trailing:
+            text = text.rstrip("\n")
+        assert _sign_rule_table(text) is not None  # the core-only path
+        assert_reads_like_reference(text)
+
+    @pytest.mark.parametrize("trailing", [True, False])
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
+    def test_edge_and_signed_zero_cores_match_full_parse(self, n, trailing):
+        rng = np.random.default_rng(n)
+        edges = np.array(EDGE_MAGNITUDES + (0.25, 1.0))
+        core = rng.choice(edges, (n, n)) * rng.choice([-1.0, 1.0], (n, n))
+        core[0, :2] = (0.0, -0.0)
+        table = _extend(core)
+        text = table_to_csv_text(table)
+        assert_reads_like_reference(text if trailing else text.rstrip("\n"))
+        np.testing.assert_array_equal(np.signbit(table_from_csv_text(text)), np.signbit(table))
+
+    @pytest.mark.parametrize("cell", ["\xa00.25", "\u20030.25", " 0.25", "+0.25"])
+    @pytest.mark.parametrize("core_side", [True, False])
+    def test_spellings_loadtxt_rejects_when_negated_raise(self, cell, core_side):
+        # np.loadtxt reads the cell but not the cell with a leading "-", so
+        # the text is rejected whichever of the two sits in the core
+        core = [["0.25", "0.5"], ["-0.125", "1"]]
+        core[1][1] = cell if core_side else "-" + cell
+        text = sign_rule_text(core)
+        assert {cell, "-" + cell} <= set(text.replace("\n", ",").split(","))
+        with pytest.raises(ValueError):
+            full_parse_reference(text)
+        with pytest.raises(ValueError):
+            table_from_csv_text(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cells=st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(st.sampled_from(CELL_SPELLINGS), min_size=n, max_size=n),
+                min_size=n,
+                max_size=n,
+            )
+        ),
+        trailing=st.booleans(),
+    )
+    def test_sign_rule_texts_of_any_spelling_match_full_parse(self, cells, trailing):
+        assert_reads_like_reference(sign_rule_text(cells, trailing))
+
+    def test_texts_that_break_the_sign_rule_match_full_parse(self):
+        rng = np.random.default_rng(8)
+        text = table_to_csv_text(wigner_table(random_density(4, rng)))
+        for i in range(0, len(text), 3):
+            for cell in ("0", "-", "\n", ",", "1\r"):
+                assert_reads_like_reference(text[:i] + cell + text[i + 1 :])
 
 
 class TestTableJson:
@@ -285,6 +415,15 @@ class TestPgm:
         rng = np.random.default_rng(5)
         table = rng.standard_normal((4, 4))
         assert table_to_pgm_bytes(table) == table_to_pgm_bytes(table.copy())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_without_warning(self, bad):
+        table = np.full((4, 4), 0.25)
+        table[1, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                table_to_pgm_bytes(table)
 
     def test_matches_per_pixel_join(self):
         rng = np.random.default_rng(7)
