@@ -130,10 +130,6 @@ class KrausChannel:
         return _extend(_table_lemma(self._act(_table_inverse(w), completeness_tol)).real)
 
 
-def identity_channel(n: int) -> KrausChannel:
-    return KrausChannel([np.eye(n, dtype=complex)])
-
-
 def stochastic_channel(p_matrix) -> KrausChannel:
     """Channel with Kraus operators sqrt(P[i, j]) |i><j| for a column-stochastic P.
 

@@ -48,7 +48,6 @@ from .io import (
 )
 from .matrix_core import validate_density, validate_unitary
 from .phase_space import fourier_matrix
-from .verify import run_checks
 from .wigner import (
     InconsistentTableError,
     NonHermitianResultError,
@@ -231,6 +230,9 @@ def cmd_reconstruct(args, tol_factor: float) -> int:
 
 
 def cmd_verify(args, tol_factor: float) -> int:
+    # the oracle modules load only here, so the other commands start without them
+    from .verify import run_checks
+
     if args.seed < 0:
         raise InputError(f"seed must be nonnegative, got {args.seed}")
     outcomes = run_checks(args.n, seed=args.seed)

@@ -53,16 +53,6 @@ def max_abs(a) -> float:
     return float(np.abs(arr).max())
 
 
-def is_hermitian(a, tol: float = TOL_ALGEBRAIC) -> bool:
-    m = as_complex_matrix(a)
-    return max_abs(m - adjoint(m)) <= tol
-
-
-def is_unitary(u, tol: float = TOL_ALGEBRAIC) -> bool:
-    m = as_complex_matrix(u)
-    return max_abs(adjoint(m) @ m - np.eye(m.shape[0])) <= tol
-
-
 def trace_product(mats: Sequence[np.ndarray]) -> complex:
     """Trace of the left-to-right product of square matrices."""
     if len(mats) == 0:

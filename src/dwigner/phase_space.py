@@ -26,7 +26,9 @@ exact integer, so identities such as T(lam*q, lam*p) = T(q, p)^lam hold to
 machine precision.  Column m of T(q, p) holds exp(i*pi*p*(2m + q)/N) in row
 (q + m) mod N; column m of 2N A(q, p) holds exp(i*pi*p*(q - 2m)/N) in row
 (q - m) mod N.  ``translation_operator`` and ``point_operator`` accept
-integer arrays for q and p and then return the stack of operators.
+integer arrays for q and p and then return the stack of operators, as
+``point_operator_stack`` does afresh on every call for the whole lattice or
+its core; the oracles' cached stacks live in :mod:`dwigner.reference`.
 
 Lines are solution sets of n1*p - n2*q = n3 (mod 2N); summing the point
 operators along a line yields a projection operator.
@@ -75,9 +77,15 @@ def _reduced(k, n: int) -> np.ndarray:
     """Integer indices mod 2N as int64 with a trailing axis for m.
 
     Reducing first keeps later products exact in fixed-width integers and
-    accepts Python integers of any size.
+    accepts Python integers of any size; non-integers raise ValueError.
     """
-    return np.asarray(np.asarray(k) % (2 * n), dtype=np.int64)[..., None]
+    k = np.asarray(k)
+    # Python integers beyond int64 arrive as an object array
+    if k.dtype.kind not in "iu" and not (
+        k.dtype == object and all(isinstance(x, (int, np.integer)) for x in k.flat)
+    ):
+        raise ValueError(f"lattice coordinates must be integers, got dtype {k.dtype}")
+    return np.asarray(k % (2 * n), dtype=np.int64)[..., None]
 
 
 def _point_entries(q, p, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -140,43 +148,18 @@ def full_points(n: int) -> list[tuple[int, int]]:
     return [(q, p) for q in range(2 * n) for p in range(2 * n)]
 
 
-def point_index(q: int, p: int, n: int) -> int:
-    """Flat row-major index of (q, p) on the full lattice."""
-    return (q % (2 * n)) * (2 * n) + (p % (2 * n))
-
-
-def _point_stack(n: int, side: int) -> np.ndarray:
-    # one scatter for the side x side points (q, p) in row-major order
-    q, p = np.indices((side, side)).reshape(2, -1)
-    stack = point_operator(q, p, n)
-    stack.flags.writeable = False
-    return stack
-
-
-# The dense stacks hold 4N^2 * N^2 (or N^4) complex entries.  Only the
-# reference oracles and ``point_operator_stack`` use them; a small bound
-# keeps a process that sweeps N from pinning every stack it built.
-@lru_cache(maxsize=4)
-def _point_stack_full(n: int) -> np.ndarray:
-    return _point_stack(n, 2 * n)
-
-
-@lru_cache(maxsize=4)
-def _point_stack_core(n: int) -> np.ndarray:
-    return _point_stack(n, n)
-
-
 def point_operator_stack(n: int, grid: str = "full") -> np.ndarray:
-    """All point operators as an array of shape (4N^2 or N^2, N, N).
+    """All point operators as a new array of shape (4N^2 or N^2, N, N).
 
     ``grid`` selects the full 2N x 2N lattice or its N x N core; ordering
-    follows ``full_points`` / ``core_points``.
+    follows ``full_points`` / ``core_points``.  The stack holds 4N^2 * N^2
+    (or N^4) complex entries and is built by one scatter on each call.
     """
-    if grid == "full":
-        return _point_stack_full(n).copy()
-    if grid == "core":
-        return _point_stack_core(n).copy()
-    raise ValueError(f"grid must be 'full' or 'core', got {grid!r}")
+    if grid not in ("full", "core"):
+        raise ValueError(f"grid must be 'full' or 'core', got {grid!r}")
+    side = 2 * n if grid == "full" else n
+    q, p = np.indices((side, side)).reshape(2, -1)
+    return point_operator(q, p, n)
 
 
 @dataclass(frozen=True)
@@ -195,8 +178,10 @@ class PhaseLine:
         if self.n1 % period == 0 and self.n2 % period == 0:
             raise ValueError("line parameters (n1, n2) must not both vanish mod 2N")
 
-    def contains(self, q: int, p: int) -> bool:
-        return (self.n1 * p - self.n2 * q - self.n3) % (2 * self.n) == 0
+    def contains(self, q, p):
+        period = 2 * self.n
+        # each parameter reduced first, so that products with int64 arrays stay exact
+        return (self.n1 % period * p - self.n2 % period * q - self.n3 % period) % period == 0
 
 
 def line_points(line: PhaseLine) -> list[tuple[int, int]]:
@@ -205,7 +190,9 @@ def line_points(line: PhaseLine) -> list[tuple[int, int]]:
     Some parameter triples have no solutions; that case is reported with an
     EmptyLineWarning and an empty list rather than an error.
     """
-    pts = [(q, p) for q, p in full_points(line.n) if line.contains(q, p)]
+    q, p = np.indices((2 * line.n, 2 * line.n)).reshape(2, -1)
+    on_line = line.contains(q, p)
+    pts = list(zip(q[on_line].tolist(), p[on_line].tolist()))
     if not pts:
         warnings.warn(
             f"line (n1={line.n1}, n2={line.n2}, n3={line.n3}) contains no lattice points",

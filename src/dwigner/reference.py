@@ -1,21 +1,44 @@
 """Reference evaluations from the dense point-operator stack.
 
 Each function evaluates a quantity straight from its definition, as a
-trace against point operators or their closed-form square roots,
-independently of the row-wise DFT kernel of :mod:`dwigner.wigner` and of
-``KrausChannel.apply``.  The stack-based ones cost O(N^4) memory or
-more, and the propagator kernel Z costs 16 N^4 entries.  They serve only
-as oracles for the tests and ``verify``; no production path imports this
-module.
+trace against point operators or their closed-form square roots, or as
+a matrix element or direct Fourier transform, independently of the
+row-wise DFT kernel of :mod:`dwigner.wigner` and of ``KrausChannel.apply``.
+The stack-based ones cost O(N^4) memory or more, and the propagator
+kernel Z costs 16 N^4 entries.  The dense stacks are cached here, for
+these oracles and ``verify`` alone; no production path imports this module.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
 from .channels import KrausChannel
 from .matrix_core import adjoint, trace_product
-from .phase_space import _point_stack_core, _point_stack_full, point_operator
+from .phase_space import fourier_matrix, point_operator, point_operator_stack
+from .wigner import NotNormalizedError, _require_indices
+
+
+def _read_only_stack(n: int, grid: str) -> np.ndarray:
+    stack = point_operator_stack(n, grid)
+    stack.flags.writeable = False
+    return stack
+
+
+# The dense stacks hold 4N^2 * N^2 (or N^4) complex entries.  Only the
+# oracles here and ``verify`` read them; a small bound keeps a process that
+# sweeps N from pinning every stack it built.
+@lru_cache(maxsize=4)
+def _point_stack_full(n: int) -> np.ndarray:
+    return _read_only_stack(n, "full")
+
+
+@lru_cache(maxsize=4)
+def _point_stack_core(n: int) -> np.ndarray:
+    return _read_only_stack(n, "core")
+
 
 # Prefactor 16*N^2 of the Gamma-kernel form of the purity constraint,
 # W = 16 N^2 sum_{beta,gamma in core} Gamma(alpha, beta, gamma) W(beta) W(gamma).
@@ -37,6 +60,28 @@ def reconstruct_full(table) -> np.ndarray:
     w = np.asarray(table, dtype=float)
     n = w.shape[0] // 2
     return n * np.einsum("a,aij->ij", w.reshape(-1), _point_stack_full(n))
+
+
+def superposition_cross_term(
+    a: complex, b: complex, q: int, p: int, n: int, q0: int = 0, q1: int = 1
+) -> float:
+    """Interference contribution 2*Re(a*conj(b)*<q1|A(q,p)|q0>) of a|q0>+b|q1>.
+
+    The basis indices are validated as in ``wigner_superposition``.
+    """
+    _require_indices(n, q0, q1)
+    if not abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= 1e-12:
+        raise NotNormalizedError(
+            f"amplitudes not normalized: |a|^2+|b|^2 = {abs(a)**2 + abs(b)**2:.15g}"
+        )
+    element = point_operator(q, p, n)[q1, q0]
+    return float(2.0 * np.real(a * np.conj(b) * element))
+
+
+def momentum_distribution(psi) -> np.ndarray:
+    """|(F psi)(p)|^2, the direct Fourier-side check for the W-transform."""
+    v = np.asarray(psi, dtype=complex)
+    return np.abs(fourier_matrix(v.shape[0]).conj().T @ v) ** 2
 
 
 def gamma_kernel(

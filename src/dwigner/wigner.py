@@ -31,9 +31,9 @@ table with the table of the square of that inverse.  The row DFTs have
 two arms: up to N = 16 they are one product with the record's N x N DFT
 matrix, because there numpy's fixed cost per FFT call outweighs the
 arithmetic; above it they are one FFT call.
-The trace against the dense point-operator stack, the sum over the full
-lattice and the three-point kernel Gamma are independent oracles
-for the tests and ``verify``, in :mod:`dwigner.reference`.
+The trace against the dense point-operator stack, the full-lattice sum,
+the three-point kernel Gamma and the direct momentum distribution are
+independent oracles for the tests and ``verify``, in :mod:`dwigner.reference`.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from .matrix_core import as_complex_matrix, max_abs
-from .phase_space import _point_entries, _roots, fourier_matrix, point_operator
+from .phase_space import _point_entries, _roots
 
 
 class OddDimensionError(ValueError):
@@ -277,22 +277,6 @@ def wigner_superposition(q0: int, q1: int, phi: float, n: int) -> np.ndarray:
     return w
 
 
-def superposition_cross_term(
-    a: complex, b: complex, q: int, p: int, n: int, q0: int = 0, q1: int = 1
-) -> float:
-    """Interference contribution 2*Re(a*conj(b)*<q1|A(q,p)|q0>) of a|q0>+b|q1>.
-
-    The basis indices are validated as in ``wigner_superposition``.
-    """
-    _require_indices(n, q0, q1)
-    if not abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= 1e-12:
-        raise NotNormalizedError(
-            f"amplitudes not normalized: |a|^2+|b|^2 = {abs(a)**2 + abs(b)**2:.15g}"
-        )
-    element = point_operator(q, p, n)[q1, q0]
-    return float(2.0 * np.real(a * np.conj(b) * element))
-
-
 def symmetry_residual(table) -> float:
     """Max deviation of a table from its own core extension; N must be even."""
     w = np.asarray(table, dtype=float)
@@ -344,16 +328,16 @@ def reconstruct(table, symmetry_tol: float = 1e-8) -> np.ndarray:
 
 
 def marginal_position(table) -> np.ndarray:
-    """Position distribution: entry q is the sum of row 2q."""
+    """Position distribution: entry q is the sum of row 2q; N must be even."""
     w = np.asarray(table, dtype=float)
-    table_dimension(w)
+    _require_even(table_dimension(w))
     return w[0::2].sum(axis=1)
 
 
 def marginal_momentum(table) -> np.ndarray:
-    """Momentum distribution: entry p is the sum of column 2p."""
+    """Momentum distribution: entry p is the sum of column 2p; N must be even."""
     w = np.asarray(table, dtype=float)
-    table_dimension(w)
+    _require_even(table_dimension(w))
     return w[:, 0::2].sum(axis=0)
 
 
@@ -370,17 +354,12 @@ def w_transform(psi) -> np.ndarray:
     return np.tile(column_sums, 2)
 
 
-def momentum_distribution(psi) -> np.ndarray:
-    """|(F psi)(p)|^2, the direct Fourier-side check for the W-transform."""
-    v = np.asarray(psi, dtype=complex)
-    return np.abs(fourier_matrix(v.shape[0]).conj().T @ v) ** 2
-
-
 def table_overlap(table1, table2) -> float:
-    """N * sum over the full lattice of W1*W2; equals tr(rho1 rho2)."""
+    """N * sum over the full lattice of W1*W2; equals tr(rho1 rho2).  N must be even."""
     w1 = np.asarray(table1, dtype=float)
     w2 = np.asarray(table2, dtype=float)
     n = table_dimension(w1)
+    _require_even(n)
     if w2.shape != w1.shape:
         raise ValueError(f"table shapes differ: {w1.shape} vs {w2.shape}")
     return float(n * np.sum(w1 * w2))

@@ -13,7 +13,6 @@ from dwigner.channels import (
     channel_wigner,
     depolarizing_channel,
     fourier_conjugate_channel,
-    identity_channel,
     stochastic_channel,
     unitary_propagator,
 )
@@ -26,14 +25,14 @@ from dwigner.matrix_core import (
     trace_product,
 )
 from dwigner.phase_space import (
-    _point_stack_core,
-    _point_stack_full,
     fourier_matrix,
     full_points,
     point_operator,
     point_operator_stack,
 )
 from dwigner.reference import (
+    _point_stack_core,
+    _point_stack_full,
     fano_sqrt_decomposition,
     point_sqrt_factor,
     propagator_kernel,
@@ -127,7 +126,7 @@ class TestKrausChannel:
     def test_equality_is_identity(self):
         # the ndarray fields make value equality ambiguous, so both classes
         # compare and hash by identity
-        for make in (identity_channel, lambda n: unitary_propagator(np.eye(n))):
+        for make in (lambda n: KrausChannel([np.eye(n)]), lambda n: unitary_propagator(np.eye(n))):
             a, b = make(2), make(2)
             assert a == a
             assert a != b
@@ -139,7 +138,7 @@ class TestKrausChannel:
             KrausChannel([np.array([[1.0, np.nan], [0.0, 1.0]])])
 
     def test_completeness_residual(self):
-        assert identity_channel(3).completeness_residual() <= 1e-15
+        assert KrausChannel([np.eye(3)]).completeness_residual() <= 1e-15
         broken = KrausChannel([0.5 * np.eye(2)])
         assert broken.completeness_residual() == pytest.approx(0.75)
 
@@ -180,7 +179,7 @@ class TestApplyChannel:
     def test_identity(self):
         rng = np.random.default_rng(1)
         rho = random_density(3, rng)
-        assert max_abs(apply_channel(identity_channel(3), rho) - rho) <= 1e-15
+        assert max_abs(apply_channel(KrausChannel([np.eye(3)]), rho) - rho) <= 1e-15
 
     def test_stochastic_action_on_diagonal(self):
         # multiply the four explicit 2x2 Kraus terms by hand
@@ -252,7 +251,7 @@ class TestApplyChannel:
 
     def test_rejects_dim_mismatch(self):
         with pytest.raises(DimMismatchError):
-            apply_channel(identity_channel(2), np.eye(3) / 3)
+            apply_channel(KrausChannel([np.eye(2)]), np.eye(3) / 3)
 
     def test_completeness_tol_is_per_call(self):
         # the residual is kept on the channel; the tolerance is not
@@ -269,7 +268,7 @@ class TestApplyChannel:
 class TestChannelWigner:
     def test_identity_channel(self):
         rho = density_from_state(basis_state(0, 2))
-        assert max_abs(channel_wigner(identity_channel(2), rho) - wigner_table(rho)) <= 1e-12
+        assert max_abs(channel_wigner(KrausChannel([np.eye(2)]), rho) - wigner_table(rho)) <= 1e-12
 
     @pytest.mark.parametrize("n", (2, 4))
     def test_commutes_with_apply(self, n):
@@ -557,11 +556,11 @@ class TestFourierConjugation:
 
     def test_rejects_non_unitary(self):
         with pytest.raises(NotUnitaryError):
-            fourier_conjugate_channel(identity_channel(2), np.diag([1.0, 2.0]))
+            fourier_conjugate_channel(KrausChannel([np.eye(2)]), np.diag([1.0, 2.0]))
 
     def test_rejects_dim_mismatch(self):
         with pytest.raises(DimMismatchError):
-            fourier_conjugate_channel(identity_channel(2), np.eye(3))
+            fourier_conjugate_channel(KrausChannel([np.eye(2)]), np.eye(3))
 
 
 class TestSqrtDecomposition:
@@ -583,7 +582,7 @@ class TestSqrtDecomposition:
         rng = np.random.default_rng(53)
         rho = random_density(2, rng)
         w = wigner_table(rho)
-        ch = identity_channel(2)
+        ch = KrausChannel([np.eye(2)])
         for q, p in full_points(2):
             ms, s = fano_sqrt_decomposition(ch, q, p)
             value = trace_product([s, rho, s])

@@ -631,9 +631,14 @@ class TestOutOfMemory:
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy is not a dependency; importing it would add to every command's start-up
+    # scipy is not a dependency, and the oracle modules serve only `dwigner verify`;
+    # importing either would add to every command's start-up
     env = dict(os.environ, PYTHONPATH=str(Path(dwigner.__file__).resolve().parent.parent))
-    code = "import sys, dwigner.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    oracles = ("dwigner.verify", "dwigner.reference", "dwigner.sampling", "dwigner.weyl")
+    code = (
+        "import sys, dwigner.cli; "
+        f"print([m for m in sys.modules if m.split('.')[0] == 'scipy' or m in {oracles!r}])"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,

@@ -6,8 +6,6 @@ from dwigner.matrix_core import (
     NotHermitianError,
     NotUnitaryError,
     hermitian_eig,
-    is_hermitian,
-    is_unitary,
     max_abs,
     trace_product,
     validate_density,
@@ -114,14 +112,6 @@ class TestTraceProduct:
 
 
 class TestChecksAndValidation:
-    def test_is_hermitian(self):
-        assert is_hermitian(np.diag([1.0, 2.0]))
-        assert not is_hermitian(np.array([[0, 1], [0, 0]]))
-
-    def test_is_unitary(self):
-        assert is_unitary(np.eye(3))
-        assert not is_unitary(2 * np.eye(3))
-
     def test_validate_unitary_raises(self):
         with pytest.raises(NotUnitaryError):
             validate_unitary(np.diag([1.0, 2.0]))
@@ -146,8 +136,7 @@ class TestChecksAndValidation:
 
     @pytest.mark.parametrize(
         "check",
-        [wigner_table, validate_density, validate_unitary, hermitian_eig, unitary_propagator,
-         is_hermitian, is_unitary],
+        [wigner_table, validate_density, validate_unitary, hermitian_eig, unitary_propagator],
     )
     @pytest.mark.parametrize(
         "shape", [(2, 4), (4, 2), (4,), (1, 4, 4)], ids=["2x4", "4x2", "1-d", "3-d"]

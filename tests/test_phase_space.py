@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from dwigner.matrix_core import adjoint, is_unitary, max_abs, trace_product
+from dwigner.matrix_core import adjoint, max_abs, trace_product, validate_unitary
 from dwigner.phase_space import (
     EmptyLineWarning,
     PhaseLine,
@@ -11,7 +13,6 @@ from dwigner.phase_space import (
     line_points,
     line_projector,
     momentum_shift,
-    point_index,
     point_operator,
     point_operator_stack,
     position_shift,
@@ -19,6 +20,7 @@ from dwigner.phase_space import (
     translation_operator,
 )
 from dwigner.reference import gamma_kernel
+from dwigner.weyl import WeylConfig, weyl_operator
 
 
 def point_operator_by_fourier_sum(q, p, n):
@@ -47,8 +49,8 @@ class TestShifts:
 
     @pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
     def test_unitarity(self, n):
-        assert is_unitary(position_shift(n))
-        assert is_unitary(momentum_shift(n))
+        validate_unitary(position_shift(n))
+        validate_unitary(momentum_shift(n))
 
 
 class TestFourier:
@@ -160,16 +162,31 @@ class TestPointOperator:
     def test_stack_matches_and_is_safe(self):
         stack = point_operator_stack(2)
         for q, p in full_points(2):
-            np.testing.assert_allclose(
-                stack[point_index(q, p, 2)], point_operator(q, p, 2), atol=0
-            )
-        stack[0, 0, 0] = 99.0  # a copy: the cached stack must be untouched
+            # the flat index of (q, p) is q*2N + p
+            np.testing.assert_allclose(stack[q * 4 + p], point_operator(q, p, 2), atol=0)
+        stack[0, 0, 0] = 99.0  # a new array: the next call must not see the write
         assert point_operator_stack(2)[0, 0, 0] == pytest.approx(0.25)
 
     def test_core_stack_shape(self):
         assert point_operator_stack(4, grid="core").shape == (16, 4, 4)
         with pytest.raises(ValueError):
             point_operator_stack(4, grid="half")
+
+
+class TestLatticeCoordinates:
+    @pytest.mark.parametrize(
+        "build",
+        (
+            lambda x: point_operator(x, 0, 4),
+            lambda x: translation_operator(x, 0, 4),
+            lambda x: weyl_operator(WeylConfig(4), x, 0),
+        ),
+    )
+    @pytest.mark.parametrize("x", (1.5, 0.9, 0.5, 2.0, np.array([0.0, 1.0])))
+    def test_non_integer_rejected(self, build, x):
+        # truncating would silently build the operator at the floor point
+        with pytest.raises(ValueError, match="float64"):
+            build(x)
 
 
 class TestGammaKernel:
@@ -205,11 +222,27 @@ class TestLines:
         assert not a & b
 
     def test_membership_against_enumeration(self):
-        line = PhaseLine(1, 1, 2, 4)
-        expected = [
-            (q, p) for q, p in full_points(4) if (p - q - 2) % 8 == 0
-        ]
-        assert line_points(line) == expected
+        # every direction in [-3, 2N + 1]^2, offsets beyond int64 included,
+        # against the Python filter over the whole lattice
+        for n in (1, 2, 3, 4, 8, 10):
+            for n1 in range(-3, 2 * n + 2):
+                for n2 in range(-3, 2 * n + 2):
+                    if n1 % (2 * n) == 0 and n2 % (2 * n) == 0:
+                        continue
+                    for n3 in (0, 1, 2, 5, -7, 10**20):
+                        expected = [
+                            (q, p)
+                            for q, p in full_points(n)
+                            if (n1 * p - n2 * q - n3) % (2 * n) == 0
+                        ]
+                        line = PhaseLine(n1, n2, n3, n)
+                        if expected:
+                            with warnings.catch_warnings():
+                                warnings.simplefilter("error", EmptyLineWarning)
+                                assert line_points(line) == expected
+                        else:
+                            with pytest.warns(EmptyLineWarning):
+                                assert line_points(line) == []
 
     def test_empty_line_warns(self):
         with pytest.warns(EmptyLineWarning):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dwigner.matrix_core import adjoint, is_unitary, max_abs, trace_product
+from dwigner.matrix_core import adjoint, max_abs, trace_product, validate_unitary
 from dwigner.weyl import (
     WeylConfig,
     clock_operator,
@@ -40,7 +40,7 @@ class TestClockOperator:
         cfg = WeylConfig(4, alpha_u=0.5)
         expected = np.diag([np.exp(1j * np.pi / 2 * (0.5 + k)) for k in range(4)])
         np.testing.assert_allclose(clock_operator(cfg), expected, atol=1e-12)
-        assert is_unitary(clock_operator(cfg))
+        validate_unitary(clock_operator(cfg))
 
 
 class TestShiftOperator:
@@ -131,7 +131,7 @@ class TestWeylOperator:
     def test_unitary(self):
         cfg = WeylConfig(5, alpha_u=0.2, alpha_v=0.9)
         for n1, n2 in ((1, 0), (0, 1), (2, 3), (-1, 4)):
-            assert is_unitary(weyl_operator(cfg, n1, n2))
+            validate_unitary(weyl_operator(cfg, n1, n2))
 
 
 class TestExpansion:

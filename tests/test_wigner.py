@@ -14,8 +14,6 @@ from dwigner.channels import (
 )
 from dwigner.matrix_core import adjoint, max_abs, trace_product
 from dwigner.phase_space import (
-    _point_stack_core,
-    _point_stack_full,
     _roots,
     core_points,
     fourier_matrix,
@@ -24,9 +22,13 @@ from dwigner.phase_space import (
 )
 from dwigner.reference import (
     PURITY_PREFACTOR_SCALE,
+    _point_stack_core,
+    _point_stack_full,
     gamma_tensor,
+    momentum_distribution,
     propagator_kernel,
     reconstruct_full,
+    superposition_cross_term,
     table_values,
 )
 from dwigner.sampling import (
@@ -63,11 +65,9 @@ from dwigner.wigner import (
     extend_by_symmetry,
     marginal_momentum,
     marginal_position,
-    momentum_distribution,
     purity_residual,
     reconstruct,
     restrict_to_core,
-    superposition_cross_term,
     superposition_state,
     symmetry_residual,
     table_overlap,
@@ -361,9 +361,19 @@ class TestReconstruction:
             reconstruct(w)
 
     @pytest.mark.parametrize("size", (2, 6, 10))
-    @pytest.mark.parametrize("consumer", (reconstruct, purity_residual, symmetry_residual))
+    @pytest.mark.parametrize(
+        "consumer",
+        (
+            reconstruct,
+            purity_residual,
+            symmetry_residual,
+            marginal_position,
+            marginal_momentum,
+            lambda w: table_overlap(w, w),
+        ),
+    )
     def test_odd_n_table_rejected(self, consumer, size):
-        # the sign rule holds only for even N, so its consumers refuse N = 1, 3, 5
+        # tables are defined here for even N only, so their consumers refuse N = 1, 3, 5
         with pytest.raises(OddDimensionError):
             consumer(np.zeros((size, size)))
 
