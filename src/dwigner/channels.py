@@ -162,13 +162,13 @@ def apply_channel(channel: KrausChannel, rho, completeness_tol: float = 1e-8) ->
     return channel._act(m, completeness_tol)
 
 
-def channel_wigner(channel: KrausChannel, rho, completeness_tol: float = 1e-8) -> np.ndarray:
+def channel_wigner(channel: KrausChannel, rho) -> np.ndarray:
     """Wigner table of the channel output sum_i V_i rho V_i*.
 
     One table of the output; by linearity it equals the sum of the tables
     of the Kraus terms up to roundoff.
     """
-    return wigner_table(apply_channel(channel, rho, completeness_tol))
+    return wigner_table(apply_channel(channel, rho))
 
 
 def unitary_propagator(u) -> KrausChannel:

@@ -8,11 +8,11 @@
   only characters ``%.17g`` prints for finite values with no cell
   starting with ``+``, it parses the N^2 core cells alone and extends
   them by the sign rule.  That costs a few string passes per line plus
-  an N^2 ``np.loadtxt``: 0.59x the full parse at N = 32 and 0.52x at
-  N = 256, and 4 us more at N = 2.  Every other text (other spellings,
-  spaces, comments, blank lines, CRLF, tables that break the sign rule,
-  malformed input) gets the full 4N^2 ``np.loadtxt`` parse, so the
-  result or the error is the full parse's in every case.
+  an N^2 ``np.loadtxt`` instead of the 4N^2 one.  Every other text
+  (other spellings, spaces, comments, blank lines, CRLF, tables that
+  break the sign rule, malformed input) gets the full 4N^2
+  ``np.loadtxt`` parse, so the result or the error is the full parse's
+  in every case.
 * Table JSON: ``{"n": N, "grid": "2N", "values": [[...], ...]}``.
 * Matrix JSON (densities, unitaries): ``{"n": N, "matrix": [[[re, im],
   ...], ...]}`` with one [re, im] pair per entry, nested by rows.

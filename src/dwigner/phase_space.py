@@ -32,6 +32,10 @@ its core; the oracles' cached stacks live in :mod:`dwigner.reference`.
 
 Lines are solution sets of n1*p - n2*q = n3 (mod 2N); summing the point
 operators along a line yields a projection operator.
+
+The dimension N must be positive; ``_require_positive`` is that rule's
+one check, called by ``_reduced`` (so for every monomial operator),
+``fourier_matrix``, ``PhaseLine`` and :class:`dwigner.weyl.WeylConfig`.
 """
 
 from __future__ import annotations
@@ -73,12 +77,18 @@ def _monomial(rows, exponents, n: int, scale: float = 1.0) -> np.ndarray:
     return out
 
 
+def _require_positive(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"dimension must be positive, got {n}")
+
+
 def _reduced(k, n: int) -> np.ndarray:
     """Integer indices mod 2N as int64 with a trailing axis for m.
 
     Reducing first keeps later products exact in fixed-width integers and
     accepts Python integers of any size; non-integers raise ValueError.
     """
+    _require_positive(n)
     k = np.asarray(k)
     # Python integers beyond int64 arrive as an object array
     if k.dtype.kind not in "iu" and not (
@@ -111,8 +121,7 @@ def momentum_shift(n: int) -> np.ndarray:
 
 def fourier_matrix(n: int) -> np.ndarray:
     """Unitary discrete Fourier matrix, entry (j, k) = exp(2*pi*i*j*k/N)/sqrt(N)."""
-    if n < 1:
-        raise ValueError(f"dimension must be positive, got {n}")
+    _require_positive(n)
     j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     return np.exp(2j * np.pi * ((j * k) % n) / n) / np.sqrt(n)
 
@@ -157,9 +166,8 @@ def point_operator_stack(n: int, grid: str = "full") -> np.ndarray:
     """
     if grid not in ("full", "core"):
         raise ValueError(f"grid must be 'full' or 'core', got {grid!r}")
-    side = 2 * n if grid == "full" else n
-    q, p = np.indices((side, side)).reshape(2, -1)
-    return point_operator(q, p, n)
+    k = np.arange(2 * n if grid == "full" else n)
+    return point_operator(k[:, None], k, n).reshape(-1, n, n)
 
 
 @dataclass(frozen=True)
@@ -172,8 +180,7 @@ class PhaseLine:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"dimension must be positive, got {self.n}")
+        _require_positive(self.n)
         period = 2 * self.n
         if self.n1 % period == 0 and self.n2 % period == 0:
             raise ValueError("line parameters (n1, n2) must not both vanish mod 2N")

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix_core import DimMismatchError, as_complex_matrix
-from .phase_space import momentum_shift, position_shift, translation_operator
+from .phase_space import _require_positive, momentum_shift, position_shift, translation_operator
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,7 @@ class WeylConfig:
     alpha_v: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"dimension must be positive, got {self.n}")
+        _require_positive(self.n)
         if not 0.0 <= self.alpha_u <= 1.0:
             raise ValueError(f"alpha_u must lie in [0, 1], got {self.alpha_u}")
         if not 0.0 <= self.alpha_v <= 1.0:
@@ -69,10 +68,17 @@ def weyl_operator(cfg: WeylConfig, n1, n2) -> np.ndarray:
     """W(n1, n2) = exp(-i*pi*n1*n2/N) U^n1 V^n2 for arbitrary integers.
 
     ``n1`` and ``n2`` may be integer arrays of one shape; the result then
-    stacks the operators along their leading axes.
+    stacks the operators along their leading axes.  The offset phase
+    exp(2*pi*i*(alpha_u*n1 + alpha_v*n2)/N) is exact at any index: each
+    offset is the exact ratio a/b of its float value, so the angle in turns
+    is an integer over N*b_u*b_v, reduced in Python integers before the one
+    float exp.  Zero offsets give a phase of exactly 1.
     """
-    n1, n2 = np.asarray(n1), np.asarray(n2)
-    phase = np.exp(2j * np.pi * (cfg.alpha_u * n1 + cfg.alpha_v * n2) / cfg.n)
+    a_u, b_u = cfg.alpha_u.as_integer_ratio()
+    a_v, b_v = cfg.alpha_v.as_integer_ratio()
+    period = cfg.n * b_u * b_v
+    turns = a_u * b_v * np.asarray(n1, dtype=object) + a_v * b_u * np.asarray(n2, dtype=object)
+    phase = np.exp(2j * np.pi * np.asarray(turns % period / period, dtype=float))
     return phase[..., None, None] * translation_operator(n2, n1, cfg.n)
 
 

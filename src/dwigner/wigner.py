@@ -34,6 +34,10 @@ arithmetic; above it they are one FFT call.
 The trace against the dense point-operator stack, the full-lattice sum,
 the three-point kernel Gamma and the direct momentum distribution are
 independent oracles for the tests and ``verify``, in :mod:`dwigner.reference`.
+
+Each input rule has one check: ``_table`` for every table argument here
+(real, 2N x 2N, N even) and ``density_from_state`` for every state vector
+(1-D, norm 1); :mod:`dwigner.phase_space` checks that N is positive.
 """
 
 from __future__ import annotations
@@ -92,6 +96,14 @@ def table_dimension(table) -> int:
     if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] % 2 != 0:
         raise ValueError(f"expected a 2N x 2N table, got shape {w.shape}")
     return w.shape[0] // 2
+
+
+def _table(table) -> tuple[np.ndarray, int]:
+    """A table as a float array and its N: 2N x 2N, with N even."""
+    w = np.asarray(table, dtype=float)
+    n = table_dimension(w)
+    _require_even(n)
+    return w, n
 
 
 def wigner_table(rho, imag_tol: float = 1e-10) -> np.ndarray:
@@ -232,6 +244,8 @@ def superposition_state(q0: int, q1: int, phi: float, n: int) -> np.ndarray:
 def density_from_state(psi) -> np.ndarray:
     """Rank-1 density operator |psi><psi| of a normalized state vector."""
     v = np.asarray(psi, dtype=complex)
+    if v.ndim != 1:
+        raise ValueError(f"expected a state vector, got shape {v.shape}")
     norm = float(np.linalg.norm(v))
     if not abs(norm - 1.0) <= 1e-12:
         raise NotNormalizedError(f"state vector has norm {norm:.15g}")
@@ -278,17 +292,14 @@ def wigner_superposition(q0: int, q1: int, phi: float, n: int) -> np.ndarray:
 
 
 def symmetry_residual(table) -> float:
-    """Max deviation of a table from its own core extension; N must be even."""
-    w = np.asarray(table, dtype=float)
-    n = table_dimension(w)
-    _require_even(n)
+    """Max deviation of a table from its own core extension."""
+    w, n = _table(table)
     return max_abs(w - _extend(w[:n, :n]))
 
 
 def restrict_to_core(table) -> np.ndarray:
     """The independent N x N core of a 2N x 2N table."""
-    w = np.asarray(table, dtype=float)
-    n = table_dimension(w)
+    w, n = _table(table)
     return w[:n, :n].copy()
 
 
@@ -313,13 +324,11 @@ def reconstruct(table, symmetry_tol: float = 1e-8) -> np.ndarray:
     Evaluates 4N * sum over the N x N core of W(alpha) A(alpha) as the
     exact inverse of the row-wise DFT, in O(N^2 log N).  This equals
     N * sum over the whole lattice whenever the table satisfies the
-    symmetry relation, which is checked first (OddDimensionError for odd N,
-    InconsistentTableError beyond ``symmetry_tol``, or for a non-finite
-    residual).
+    symmetry relation, which is checked first (InconsistentTableError
+    beyond ``symmetry_tol``, or for a non-finite residual).
     """
-    w = np.asarray(table, dtype=float)
-    n = table_dimension(w)
-    residual = symmetry_residual(w)
+    w, n = _table(table)
+    residual = max_abs(w - _extend(w[:n, :n]))
     if not residual <= symmetry_tol:
         raise InconsistentTableError(
             f"table violates the symmetry relation (residual {residual:.3e})"
@@ -328,16 +337,14 @@ def reconstruct(table, symmetry_tol: float = 1e-8) -> np.ndarray:
 
 
 def marginal_position(table) -> np.ndarray:
-    """Position distribution: entry q is the sum of row 2q; N must be even."""
-    w = np.asarray(table, dtype=float)
-    _require_even(table_dimension(w))
+    """Position distribution: entry q is the sum of row 2q."""
+    w, _ = _table(table)
     return w[0::2].sum(axis=1)
 
 
 def marginal_momentum(table) -> np.ndarray:
-    """Momentum distribution: entry p is the sum of column 2p; N must be even."""
-    w = np.asarray(table, dtype=float)
-    _require_even(table_dimension(w))
+    """Momentum distribution: entry p is the sum of column 2p."""
+    w, _ = _table(table)
     return w[:, 0::2].sum(axis=0)
 
 
@@ -347,19 +354,13 @@ def w_transform(psi) -> np.ndarray:
     For a normalized pure state the first N entries reproduce the squared
     Fourier amplitudes |(F psi)(p)|^2; the sequence repeats with period N.
     """
-    v = np.asarray(psi, dtype=complex)
-    if v.ndim != 1:
-        raise ValueError(f"expected a state vector, got shape {v.shape}")
-    column_sums = wigner_table(density_from_state(v))[:, 0::2].sum(axis=0)
-    return np.tile(column_sums, 2)
+    return np.tile(marginal_momentum(wigner_table(density_from_state(psi))), 2)
 
 
 def table_overlap(table1, table2) -> float:
-    """N * sum over the full lattice of W1*W2; equals tr(rho1 rho2).  N must be even."""
-    w1 = np.asarray(table1, dtype=float)
+    """N * sum over the full lattice of W1*W2; equals tr(rho1 rho2)."""
+    w1, n = _table(table1)
     w2 = np.asarray(table2, dtype=float)
-    n = table_dimension(w1)
-    _require_even(n)
     if w2.shape != w1.shape:
         raise ValueError(f"table shapes differ: {w1.shape} vs {w2.shape}")
     return float(n * np.sum(w1 * w2))
@@ -376,12 +377,10 @@ def purity_residual(table) -> float:
     with Gamma the three-point trace kernel.  With rho_c = 4N sum_core W A
     the operator recovered from the core, the double sum equals
     tr(A(alpha) rho_c^2), so the quadratic side is the table of rho_c^2 and
-    costs O(N^3) instead of a 4N^6 kernel.  No symmetry check is applied,
-    but N must be even.  Vanishes (to roundoff) exactly for tables of pure
-    states; strictly positive for properly mixed ones.
+    costs O(N^3) instead of a 4N^6 kernel.  No symmetry check is applied.
+    Vanishes (to roundoff) exactly for tables of pure states; strictly
+    positive for properly mixed ones.
     """
-    w = np.asarray(table, dtype=float)
-    n = table_dimension(w)
-    _require_even(n)
+    w, n = _table(table)
     rho = _core_inverse(w[:n, :n])
     return max_abs(w - _extend(_table_lemma(rho @ rho)))

@@ -173,6 +173,26 @@ class TestPointOperator:
             point_operator_stack(4, grid="half")
 
 
+class TestDimension:
+    @pytest.mark.parametrize("n", (0, -2))
+    @pytest.mark.parametrize(
+        "build",
+        (
+            lambda n: point_operator(0, 0, n),
+            lambda n: translation_operator(0, 0, n),
+            reflection_operator,
+            position_shift,
+            momentum_shift,
+            point_operator_stack,
+            fourier_matrix,
+        ),
+    )
+    def test_non_positive_rejected(self, build, n):
+        # not a ZeroDivisionError, an empty array or numpy's negative-shape error
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            build(n)
+
+
 class TestLatticeCoordinates:
     @pytest.mark.parametrize(
         "build",

@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from dwigner.matrix_core import adjoint, max_abs, trace_product, validate_unitary
+from dwigner.phase_space import translation_operator
 from dwigner.weyl import (
     WeylConfig,
     clock_operator,
@@ -127,6 +130,26 @@ class TestWeylOperator:
             phase = np.exp(1j * np.pi * symplectic_form(na, nb) / n)
             rhs = phase * weyl_operator(cfg, na[0] + nb[0], na[1] + nb[1])
             assert max_abs(lhs - rhs) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "n1, n2",
+        ((1, 2), (3, -7), (2**60 + 1, 0), (-(2**70) - 3, 5), (10**30, -(10**25) + 1)),
+    )
+    def test_offset_phase_is_exact_at_any_index(self, n1, n2):
+        # the phase of the floats' exact binary values, reduced as a fraction
+        cfg = WeylConfig(4, alpha_u=0.3, alpha_v=0.7)
+        turns = (Fraction(cfg.alpha_u) * n1 + Fraction(cfg.alpha_v) * n2) / cfg.n % 1
+        expected = np.exp(2j * np.pi * float(turns)) * translation_operator(n2, n1, cfg.n)
+        assert max_abs(weyl_operator(cfg, n1, n2) - expected) <= 1e-12
+
+    def test_large_index_equals_its_residue(self):
+        # 2**60 times the float 0.3 is an integer multiple of N = 4
+        cfg = WeylConfig(4, alpha_u=0.3)
+        np.testing.assert_array_equal(weyl_operator(cfg, 2**60 + 1, 0), weyl_operator(cfg, 1, 0))
+        # zero offsets keep a phase of exactly 1
+        np.testing.assert_array_equal(
+            weyl_operator(WeylConfig(4), 2**60 + 1, 3), translation_operator(3, 2**60 + 1, 4)
+        )
 
     def test_unitary(self):
         cfg = WeylConfig(5, alpha_u=0.2, alpha_v=0.9)

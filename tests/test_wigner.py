@@ -370,6 +370,7 @@ class TestReconstruction:
             marginal_position,
             marginal_momentum,
             lambda w: table_overlap(w, w),
+            restrict_to_core,
         ),
     )
     def test_odd_n_table_rejected(self, consumer, size):
@@ -662,6 +663,13 @@ class TestWTransform:
             np.testing.assert_allclose(phi[:n], momentum_distribution(psi), atol=1e-10)
             # period N in the transform index
             np.testing.assert_allclose(phi[n:], phi[:n], atol=1e-12)
+
+    @pytest.mark.parametrize("build", (density_from_state, w_transform))
+    @pytest.mark.parametrize("psi", (np.eye(2) / np.sqrt(2), np.array(1.0)))
+    def test_non_vector_rejected(self, build, psi):
+        # both have norm 1, so only the 1-D rule of density_from_state refuses them
+        with pytest.raises(ValueError, match="expected a state vector"):
+            build(psi)
 
 
 class TestOverlapAndMixing:
