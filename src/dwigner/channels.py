@@ -15,7 +15,7 @@ again, in O(KN^3) time and O(N^2) memory.  Iterated, it is the quantum
 iterated function system of the channel on tables.  The propagator of a
 unitary U is the one-term channel {U}.  The dense 4N^2 x 4N^2 kernel Z
 of a unitary and the per-point square-root factors of the decomposition
-identities are oracles in :mod:`dwigner.reference`.  Last come the
+identities are oracles of the tests, not of the package.  Last come the
 Fourier-conjugated channel with Kraus operators F V_i F*, and the report
 that compares, at every lattice point, a channel's Wigner value with its
 cyclic and adjoint square-root forms.  Like ``channel_wigner``, the
@@ -118,7 +118,8 @@ class KrausChannel:
         the sign-corrected quadrant mean, so no symmetry check is applied.
         Lambda(rho) is the Kraus sum of ``apply_channel``, under the same
         trace-preservation check.  For one Kraus operator U this equals
-        Z @ table.reshape(-1) with Z from ``reference.propagator_kernel``.
+        Z @ table.reshape(-1), with Z the dense propagator kernel
+        Z[alpha, beta] = N tr(A(alpha) U A(beta) U*).
         """
         _require_even(self.n)
         w = np.asarray(table, dtype=float)
@@ -145,11 +146,6 @@ def stochastic_channel(p_matrix) -> KrausChannel:
     # operator i*N + j holds its one entry at flat index i*N + j, so the
     # (N^2, N, N) family is a diagonal N^2 x N^2 matrix
     return KrausChannel(np.diag(np.sqrt(p).reshape(-1)).reshape(n * n, n, n))
-
-
-def depolarizing_channel(n: int) -> KrausChannel:
-    """Channel with Kraus operators |i><j| / sqrt(N); sends every state to I/N."""
-    return stochastic_channel(np.full((n, n), 1 / n))
 
 
 def apply_channel(channel: KrausChannel, rho, completeness_tol: float = 1e-8) -> np.ndarray:

@@ -28,18 +28,19 @@ machine precision.  Column m of T(q, p) holds exp(i*pi*p*(2m + q)/N) in row
 (q - m) mod N.  ``translation_operator`` and ``point_operator`` accept
 integer arrays for q and p and then return the stack of operators, as
 ``point_operator_stack`` does afresh on every call for the whole lattice or
-its core; the oracles' cached stacks live in :mod:`dwigner.reference`.
+its core.  Nothing in the package caches a stack.
 
 Lines are solution sets of n1*p - n2*q = n3 (mod 2N); summing the point
 operators along a line yields a projection operator.
 
-The dimension N must be positive; ``_require_positive`` is that rule's
-one check, called by ``_reduced`` (so for every monomial operator),
+The dimension N must be a positive integer; ``_require_positive`` is that
+rule's one check, called by ``_reduced`` (so for every monomial operator),
 ``fourier_matrix``, ``PhaseLine`` and :class:`dwigner.weyl.WeylConfig`.
 """
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -78,8 +79,13 @@ def _monomial(rows, exponents, n: int, scale: float = 1.0) -> np.ndarray:
 
 
 def _require_positive(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"dimension must be positive, got {n}")
+    """N must be an integer, as ``operator.index`` accepts it, and at least 1."""
+    try:
+        valid = operator.index(n) >= 1
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(f"dimension must be positive and an integer, got {n}")
 
 
 def _reduced(k, n: int) -> np.ndarray:

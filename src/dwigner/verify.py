@@ -12,8 +12,8 @@ check yields and passes the check when it is at most the tolerance; the
 max-norm keeps NaN, so a NaN residual fails, and a library error raised
 inside a check fails that check and names the exception.  The CLI turns
 the outcomes into pass/fail lines.  Independent evaluations come from
-:mod:`dwigner.reference`; its propagator kernel Z (16 N^4 entries) and
-square-root factors are left to the tests.
+:mod:`dwigner.reference`, whose chord forms need no point stack; each of
+the four ``phase_space.point_*`` checks builds the one dense stack it reads.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def _check_weyl_roundtrip(n, rng):
 @_check("phase_space.point_hermiticity", 1e-12)
 def _check_point_hermiticity(n, rng):
     # a quarter of the stack at a time, so that no temporary is stack-sized
-    for ops in reference._point_stack_full(n).reshape(4, n * n, n, n):
+    for ops in phase_space.point_operator_stack(n).reshape(4, n * n, n, n):
         yield ops - ops.conj().swapaxes(-1, -2)
 
 
@@ -126,14 +126,14 @@ def _check_point_fourier_form(n, rng):
     del t_spectra
     summed /= 2 * n
     # summed is indexed [p, q]; the stack runs over (q, p) in row-major order
-    summed -= reference._point_stack_full(n).reshape(2 * n, 2 * n, n, n).swapaxes(0, 1)
+    summed -= phase_space.point_operator_stack(n).reshape(2 * n, 2 * n, n, n).swapaxes(0, 1)
     yield summed
 
 
 @_check("phase_space.point_symmetry", 1e-12)
 def _check_point_symmetry(n, rng):
     # every point of the full lattice, indexed [sq, q, sp, p] as (q + sq*N, p + sp*N)
-    ops = reference._point_stack_full(n).reshape(2, n, 2, n, n, n)
+    ops = phase_space.point_operator_stack(n).reshape(2, n, 2, n, n, n)
     sq, qc, sp, pc = np.indices((2, n, 2, n))
     sign = (-1.0) ** ((sp * qc + sq * pc + sq * sp * n) % 2)
     expected = sign[..., None, None] * ops[0, :, 0, :][None, :, None, :]
@@ -143,7 +143,7 @@ def _check_point_symmetry(n, rng):
 
 @_check("phase_space.point_orthogonality", 1e-12)
 def _check_point_orthogonality(n, rng):
-    stack = reference._point_stack_core(n)
+    stack = phase_space.point_operator_stack(n, "core")
     # G[a, b] = tr(A_a A_b) = sum_ij A_a[i, j] A_b[j, i], all pairs in one product
     gram = stack.reshape(n * n, n * n) @ stack.transpose(0, 2, 1).reshape(n * n, n * n).T
     q, p = np.array(phase_space.core_points(n)).T

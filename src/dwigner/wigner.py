@@ -31,9 +31,10 @@ table with the table of the square of that inverse.  The row DFTs have
 two arms: up to N = 16 they are one product with the record's N x N DFT
 matrix, because there numpy's fixed cost per FFT call outweighs the
 arithmetic; above it they are one FFT call.
-The trace against the dense point-operator stack, the full-lattice sum,
-the three-point kernel Gamma and the direct momentum distribution are
-independent oracles for the tests and ``verify``, in :mod:`dwigner.reference`.
+The table and the full-lattice sum by the chord route (one 2N x 2N FFT
+of the Weyl expansion, with no ``_kernel`` record and no sign rule) and
+the direct momentum distribution are independent oracles for the tests
+and ``verify``, in :mod:`dwigner.reference`.
 
 Each input rule has one check: ``_table`` for every table argument here
 (real, 2N x 2N, N even) and ``density_from_state`` for every state vector

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from goldens import TABLE_N2_KET0, TABLE_N2_KET1, TABLES_N4
+from oracles import fano_sqrt_decomposition, propagator_kernel
 from dwigner.channels import (
     adjoint_form_report,
     apply_channel,
@@ -29,7 +30,7 @@ from dwigner.phase_space import (
     point_operator_stack,
     reflection_operator,
 )
-from dwigner.reference import fano_sqrt_decomposition, propagator_kernel, reconstruct_full
+from dwigner.reference import reconstruct_full
 from dwigner.sampling import (
     random_density,
     random_kraus_channel,

@@ -5,13 +5,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import (
+    depolarizing_channel,
+    fano_sqrt_decomposition,
+    point_sqrt_factor,
+    propagator_kernel,
+)
 from dwigner.channels import (
     InvalidChannelError,
     KrausChannel,
     adjoint_form_report,
     apply_channel,
     channel_wigner,
-    depolarizing_channel,
     fourier_conjugate_channel,
     stochastic_channel,
     unitary_propagator,
@@ -30,15 +35,7 @@ from dwigner.phase_space import (
     point_operator,
     point_operator_stack,
 )
-from dwigner.reference import (
-    _point_stack_core,
-    _point_stack_full,
-    fano_sqrt_decomposition,
-    point_sqrt_factor,
-    propagator_kernel,
-    reconstruct_full,
-    table_values,
-)
+from dwigner.reference import reconstruct_full, table_values
 from dwigner.sampling import random_density, random_kraus_channel, random_unitary
 from dwigner.verify import (
     _check_gamma_invariance,
@@ -469,8 +466,8 @@ class TestUnitaryPropagator:
 
     @pytest.mark.parametrize(
         "check, bound",
-        # the propagator check may build the 64 MiB full stack of the
-        # reference table; a dense Z at N = 32 alone is 128 MiB
+        # the chord reference builds no stack (the check peaks near 0.5 MiB);
+        # a dense Z at N = 32 alone is 128 MiB
         ((_check_propagator, 80 * 2**20), (_check_gamma_invariance, 4 * 2**20)),
     )
     def test_verify_checks_build_no_kernel(self, check, bound):
@@ -485,19 +482,17 @@ class TestUnitaryPropagator:
 
     @pytest.mark.parametrize(
         "check, bound",
-        # the 64 MiB full stack (16 MiB core) is cached before the check runs;
-        # the Fourier form holds the translation stack and its transform, the
-        # symmetry check one stack-sized expected array
+        # each check builds the one stack it reads, 64 MiB full (16 MiB core),
+        # and copies none: the Fourier form holds the translation stack and its
+        # transform, the symmetry check one stack-sized expected array
         (
-            (_check_point_hermiticity, 40 * 2**20),
-            (_check_point_fourier_form, 136 * 2**20),
-            (_check_point_symmetry, 104 * 2**20),
-            (_check_point_orthogonality, 40 * 2**20),
+            (_check_point_hermiticity, (40 + 64) * 2**20),
+            (_check_point_fourier_form, (136 + 64) * 2**20),
+            (_check_point_symmetry, (104 + 64) * 2**20),
+            (_check_point_orthogonality, (40 + 16) * 2**20),
         ),
     )
     def test_verify_point_checks_copy_no_stack(self, check, bound):
-        _point_stack_full(32)
-        _point_stack_core(32)
         tracemalloc.start()
         try:
             outcome = check(32, np.random.default_rng(0))

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import gamma_kernel
 from dwigner.matrix_core import adjoint, max_abs, trace_product, validate_unitary
 from dwigner.phase_space import (
     EmptyLineWarning,
@@ -19,7 +20,6 @@ from dwigner.phase_space import (
     reflection_operator,
     translation_operator,
 )
-from dwigner.reference import gamma_kernel
 from dwigner.weyl import WeylConfig, weyl_operator
 
 
@@ -174,7 +174,7 @@ class TestPointOperator:
 
 
 class TestDimension:
-    @pytest.mark.parametrize("n", (0, -2))
+    @pytest.mark.parametrize("n", (0, -2, 2.5))
     @pytest.mark.parametrize(
         "build",
         (
@@ -185,10 +185,13 @@ class TestDimension:
             momentum_shift,
             point_operator_stack,
             fourier_matrix,
+            WeylConfig,
+            lambda n: PhaseLine(1, 0, 0, n),
         ),
     )
     def test_non_positive_rejected(self, build, n):
-        # not a ZeroDivisionError, an empty array or numpy's negative-shape error
+        # not a ZeroDivisionError, an empty array, numpy's negative-shape or
+        # TypeError, or a matrix of the rounded-up size
         with pytest.raises(ValueError, match="dimension must be positive"):
             build(n)
 

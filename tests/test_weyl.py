@@ -189,6 +189,20 @@ class TestExpansion:
         back = weyl_synthesize(cfg, weyl_expand(cfg, a))
         assert max_abs(back - a) <= 1e-10
 
+    @pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 8, 16))
+    @pytest.mark.parametrize("offsets", ((0.0, 0.0), (0.3, 0.7), (1.0, 1.0)))
+    def test_matches_weyl_operators(self, n, offsets):
+        # against tr(W(n)* A) / N and sum_n c[n] W(n), each W from weyl_operator
+        cfg = WeylConfig(n, *offsets)
+        k = np.arange(n)
+        ops = weyl_operator(cfg, k[:, None], k)
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        expected = np.einsum("abij,ij->ab", ops.conj(), a) / n
+        assert max_abs(weyl_expand(cfg, a) - expected) <= 1e-12
+        c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        assert max_abs(weyl_synthesize(cfg, c) - np.einsum("ab,abij->ij", c, ops)) <= 1e-12
+
     def test_dim_mismatch(self):
         from dwigner.matrix_core import DimMismatchError
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from goldens import TABLE_N2_KET0, TABLE_N2_KET1, TABLES_N4
+from oracles import (
+    PURITY_PREFACTOR_SCALE,
+    gamma_tensor,
+    propagator_kernel,
+    superposition_cross_term,
+)
 from test_channels import NEARLY_COMPLETE
 from dwigner.channels import (
     _report_constants,
@@ -20,17 +28,7 @@ from dwigner.phase_space import (
     full_points,
     point_operator,
 )
-from dwigner.reference import (
-    PURITY_PREFACTOR_SCALE,
-    _point_stack_core,
-    _point_stack_full,
-    gamma_tensor,
-    momentum_distribution,
-    propagator_kernel,
-    reconstruct_full,
-    superposition_cross_term,
-    table_values,
-)
+from dwigner.reference import momentum_distribution, reconstruct_full, table_values
 from dwigner.sampling import (
     random_density,
     random_kraus_channel,
@@ -422,19 +420,24 @@ class TestFastPathProperties:
         assert max_abs(evolved - wigner_table(u @ rho @ adjoint(u))) <= 1e-12
 
     def test_default_paths_build_no_stack(self):
-        # a cached stack would count a hit, a new one a miss
+        # one full point stack at N = 10 holds 4N^2 * N^2 complex entries,
+        # 640 kB; all five calls together must peak under half of that
         n = 10
         rng = np.random.default_rng(83)
         w = wigner_table(random_density(n, rng))
         u = random_unitary(n, rng)
         ch = random_kraus_channel(n, 3, rng)
-        before = (_point_stack_full.cache_info(), _point_stack_core.cache_info())
-        wigner_table(reconstruct(w))
-        purity_residual(w)
-        unitary_propagator(u).apply(w)
-        channel_wigner(ch, reconstruct(w))
-        adjoint_form_report(ch, reconstruct(w))
-        assert (_point_stack_full.cache_info(), _point_stack_core.cache_info()) == before
+        tracemalloc.start()
+        try:
+            wigner_table(reconstruct(w))
+            purity_residual(w)
+            unitary_propagator(u).apply(w)
+            channel_wigner(ch, reconstruct(w))
+            adjoint_form_report(ch, reconstruct(w))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n**4 * 16 // 2
 
     def test_one_kernel_build_per_n(self):
         # wigner_table, reconstruct, purity_residual and apply share one record per N
@@ -446,10 +449,6 @@ class TestFastPathProperties:
             purity_residual(w)
             unitary_propagator(random_unitary(n, rng)).apply(w)
             assert _kernel.cache_info().misses == builds
-
-    def test_stack_caches_are_bounded(self):
-        assert _point_stack_full.cache_info().maxsize == 4
-        assert _point_stack_core.cache_info().maxsize == 4
 
     @pytest.mark.parametrize(
         "constant",
